@@ -67,6 +67,95 @@ EXPERIMENTS = {
 }
 
 
+#: ``repro serve``'s config flags, one row per
+#: :class:`~repro.service.config.ServiceConfig` field they set:
+#: ``(flag[ METAVAR], field, type, help)``.  A ``bool`` row is a switch
+#: that flips its field's default; a tuple type lists the choices.  The
+#: defaults stay in the dataclass (read only when a config is built,
+#: so building the parser imports no server code).
+SERVE_FLAGS = (
+    ("--host", "host", str, "bind address"),
+    ("--port", "port", int, "0 picks an ephemeral port"),
+    ("--workers", "workers", int, "worker-pool size"),
+    ("--executor", "executor", ("process", "thread"), "worker-pool kind"),
+    ("--queue-limit", "queue_limit", int,
+     "max in-flight jobs before load-shedding (HTTP 429)"),
+    ("--cache-size", "response_cache_size", int,
+     "response LRU capacity (entries)"),
+    ("--timeout", "request_timeout_s", float,
+     "per-request deadline in seconds"),
+    ("--drain-timeout", "drain_timeout_s", float,
+     "graceful-shutdown budget in seconds"),
+    ("--db", "db_path", str,
+     "path of the persistent tuning database (/rank warm tier)"),
+    ("--breaker-threshold", "breaker_threshold", int,
+     "consecutive fresh-job failures before an endpoint's circuit "
+     "breaker opens"),
+    ("--breaker-recovery", "breaker_recovery_s", float,
+     "seconds an open breaker waits before a half-open probe"),
+    ("--no-degraded", "degraded_mode", bool,
+     "refuse (503) instead of serving analytic degraded answers while "
+     "a breaker is open"),
+    ("--lease-ttl", "lease_ttl_s", float,
+     "fabric tune-job lease TTL in seconds"),
+    ("--steal-interval", "steal_interval_s", float,
+     "idle-shard work-stealing scan period in seconds (fabric mode)"),
+    ("--cost-routing", "cost_routing", bool,
+     "classify jobs by analytic cost at admission and route them to "
+     "separate cheap/expensive queues"),
+    ("--cost-threshold", "cost_threshold_s", float,
+     "estimated job seconds at which a job classes as expensive"),
+    ("--cheap-queue-limit", "cheap_queue_limit", int,
+     "admission bound of the cheap queue (default: --queue-limit)"),
+    ("--expensive-queue-limit", "expensive_queue_limit", int,
+     "admission bound of the expensive queue (default: --queue-limit)"),
+    ("--cheap-timeout", "cheap_timeout_s", float,
+     "cheap-queue request deadline in seconds (default: --timeout)"),
+    ("--expensive-timeout", "expensive_timeout_s", float,
+     "expensive-queue request deadline in seconds (default: --timeout)"),
+    ("--expensive-workers", "expensive_workers", int,
+     "dedicated pool slots for the expensive queue (default: share "
+     "the main pool)"),
+    ("--approx", "approx_enabled", bool,
+     "serve near-match approximate answers (interpolated from stored "
+     "exact results; responses carry approximate+confidence)"),
+    ("--approx-confidence", "approx_confidence", float,
+     "minimum confidence an approximate answer needs; below it the "
+     "request computes exactly"),
+    ("--approx-capacity", "approx_capacity", int,
+     "exact observations retained as interpolation support"),
+    ("--adaptive-limits", "adaptive_limits", bool,
+     "AIMD adaptive per-class admission limits: grow on healthy "
+     "latency, halve when a class's windowed p95 breaches its target "
+     "(static limit stays the hard ceiling, floor 1)"),
+    ("--adaptive-target-ms MS", "adaptive_target_ms", float,
+     "latency target of the cheap class's adaptive limiter (the "
+     "expensive class targets half its own deadline)"),
+    ("--brownout", "brownout", bool,
+     "SLO-burn-driven brownout ladder: sustained page alerts degrade "
+     "in stages (widen approx acceptance, serve /predict "
+     "analytically, shed tune/rank, full shed) with staged recovery; "
+     "implies --slo"),
+    ("--brownout-approx-confidence C", "brownout_approx_confidence",
+     float, "near-match acceptance bar while browned out (never raises "
+     "the configured --approx-confidence)"),
+    ("--brownout-escalate S", "brownout_escalate_s", float,
+     "seconds a page alert must burn before each brownout step"),
+    ("--brownout-recover S", "brownout_recover_s", float,
+     "calm seconds before each brownout recovery step"),
+    ("--slo", "slo_enabled", bool,
+     "evaluate SLO objectives with multi-window burn-rate alerting "
+     "(surfaced on /slo, as alerts in /healthz and as slo rows in "
+     "/metrics)"),
+    ("--slo-config JSON|PATH", "slo_config", str,
+     "objectives: a JSON file path or inline JSON object (implies "
+     "--slo; default: the shipped objectives)"),
+    ("--flight-recorder N", "flight_recorder", int,
+     "per-request flight-recorder ring capacity dumped by "
+     "/debug/requests (0 disables recording)"),
+)
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
         shape = tuple(int(p) for p in text.lower().split("x"))
@@ -222,223 +311,32 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="start the async tuning/prediction HTTP service"
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port", type=int, default=8753, help="0 picks an ephemeral port"
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, help="worker-pool size"
-    )
-    serve.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="worker-pool kind",
-    )
-    serve.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="max in-flight jobs before load-shedding (HTTP 429)",
-    )
-    serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=1024,
-        help="response LRU capacity (entries)",
-    )
-    serve.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-request deadline in seconds",
-    )
-    serve.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=30.0,
-        help="graceful-shutdown budget in seconds",
-    )
-    serve.add_argument(
-        "--db",
-        default=None,
-        help="path of the persistent tuning database (/rank warm tier)",
-    )
-    serve.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=5,
-        help="consecutive fresh-job failures before an endpoint's "
-        "circuit breaker opens",
-    )
-    serve.add_argument(
-        "--breaker-recovery",
-        type=float,
-        default=30.0,
-        help="seconds an open breaker waits before a half-open probe",
-    )
-    serve.add_argument(
-        "--no-degraded",
-        action="store_true",
-        help="refuse (503) instead of serving analytic degraded "
-        "answers while a breaker is open",
-    )
+    for spec, field, kind, help_text in SERVE_FLAGS:
+        flag, _, metavar = spec.partition(" ")
+        # An omitted flag leaves its field at the dataclass default.
+        options = {"dest": field, "default": argparse.SUPPRESS}
+        if kind is bool:
+            options["action"] = "store_true"
+        elif isinstance(kind, tuple):
+            options["choices"] = kind
+        else:
+            options["type"] = kind
+        if metavar:
+            options["metavar"] = metavar
+        serve.add_argument(flag, help=help_text, **options)
     serve.add_argument(
         "--shards",
         type=int,
         default=0,
         help="run a sharded fabric with this many shard processes "
-        "behind a consistent-hash router (0 = single process)",
+        "behind a consistent-hash router (0 = single process); the "
+        "flags above configure every shard",
     )
     serve.add_argument(
         "--fabric-dir",
         default=None,
         help="fabric state directory (segmented database, job ledger, "
         "port files); required with --shards",
-    )
-    serve.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=60.0,
-        help="fabric tune-job lease TTL in seconds",
-    )
-    serve.add_argument(
-        "--steal-interval",
-        type=float,
-        default=0.5,
-        help="idle-shard work-stealing scan period in seconds "
-        "(fabric mode)",
-    )
-    serve.add_argument(
-        "--cost-routing",
-        action="store_true",
-        help="classify jobs by analytic cost at admission and route "
-        "them to separate cheap/expensive queues",
-    )
-    serve.add_argument(
-        "--cost-threshold",
-        type=float,
-        default=0.25,
-        help="estimated job seconds at which a job classes as expensive",
-    )
-    serve.add_argument(
-        "--cheap-queue-limit",
-        type=int,
-        default=None,
-        help="admission bound of the cheap queue (default: --queue-limit)",
-    )
-    serve.add_argument(
-        "--expensive-queue-limit",
-        type=int,
-        default=None,
-        help="admission bound of the expensive queue "
-        "(default: --queue-limit)",
-    )
-    serve.add_argument(
-        "--cheap-timeout",
-        type=float,
-        default=None,
-        help="cheap-queue request deadline in seconds (default: --timeout)",
-    )
-    serve.add_argument(
-        "--expensive-timeout",
-        type=float,
-        default=None,
-        help="expensive-queue request deadline in seconds "
-        "(default: --timeout)",
-    )
-    serve.add_argument(
-        "--expensive-workers",
-        type=int,
-        default=None,
-        help="dedicated pool slots for the expensive queue "
-        "(default: share the main pool)",
-    )
-    serve.add_argument(
-        "--approx",
-        action="store_true",
-        help="serve near-match approximate answers (interpolated from "
-        "stored exact results; responses carry approximate+confidence)",
-    )
-    serve.add_argument(
-        "--approx-confidence",
-        type=float,
-        default=0.75,
-        help="minimum confidence an approximate answer needs; below "
-        "it the request computes exactly",
-    )
-    serve.add_argument(
-        "--approx-capacity",
-        type=int,
-        default=512,
-        help="exact observations retained as interpolation support",
-    )
-    serve.add_argument(
-        "--adaptive-limits",
-        action="store_true",
-        help="AIMD adaptive per-class admission limits: grow on "
-        "healthy latency, halve when a class's windowed p95 breaches "
-        "its target (static limit stays the hard ceiling, floor 1)",
-    )
-    serve.add_argument(
-        "--adaptive-target-ms",
-        type=float,
-        default=500.0,
-        metavar="MS",
-        help="latency target of the cheap class's adaptive limiter "
-        "(the expensive class targets half its own deadline)",
-    )
-    serve.add_argument(
-        "--brownout",
-        action="store_true",
-        help="SLO-burn-driven brownout ladder: sustained page alerts "
-        "degrade in stages (widen approx acceptance, serve /predict "
-        "analytically, shed tune/rank, full shed) with staged "
-        "recovery; requires --slo",
-    )
-    serve.add_argument(
-        "--brownout-approx-confidence",
-        type=float,
-        default=0.5,
-        metavar="C",
-        help="near-match acceptance bar while browned out (never "
-        "raises the configured --approx-confidence)",
-    )
-    serve.add_argument(
-        "--brownout-escalate",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds a page alert must burn before each brownout step",
-    )
-    serve.add_argument(
-        "--brownout-recover",
-        type=float,
-        default=5.0,
-        metavar="S",
-        help="calm seconds before each brownout recovery step",
-    )
-    serve.add_argument(
-        "--slo",
-        action="store_true",
-        help="evaluate SLO objectives with multi-window burn-rate "
-        "alerting (surfaced on /slo, as alerts in /healthz and as "
-        "slo rows in /metrics)",
-    )
-    serve.add_argument(
-        "--slo-config",
-        default=None,
-        metavar="JSON|PATH",
-        help="objectives: a JSON file path or inline JSON object "
-        "(implies --slo; default: the shipped objectives)",
-    )
-    serve.add_argument(
-        "--flight-recorder",
-        type=int,
-        default=256,
-        metavar="N",
-        help="per-request flight-recorder ring capacity dumped by "
-        "/debug/requests (0 disables recording)",
     )
 
     obs_cmd = sub.add_parser(
@@ -720,102 +618,58 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def serve_config(args: argparse.Namespace):
+    """The config ``repro serve`` runs: one ServiceConfig from the
+    SERVE_FLAGS given, or with ``--shards N`` a FabricConfig that runs
+    it as every shard's template."""
+    from dataclasses import fields
+
+    from repro.service.config import ServiceConfig
+
+    defaults = {f.name: f.default for f in fields(ServiceConfig)}
+    values = {
+        field: not defaults[field] if kind is bool else getattr(args, field)
+        for _, field, kind, _ in SERVE_FLAGS
+        if hasattr(args, field)
+    }
+    if values.get("brownout") or "slo_config" in values:
+        values["slo_enabled"] = True  # both need the SLO engine
+    config = ServiceConfig(**values)
+    if not args.shards:
+        return config
+    from repro.fabric import FabricConfig
+
+    return FabricConfig(
+        fabric_dir=args.fabric_dir,
+        host=config.host,
+        port=config.port,
+        shards=args.shards,
+        shard=config,
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service.config import ServiceConfig
-    from repro.service.server import serve
-
-    if args.shards:
-        from repro.fabric import FabricConfig, serve_fabric
-
-        if not args.fabric_dir:
-            print("error: --shards requires --fabric-dir", file=sys.stderr)
-            return 2
-        if args.db:
-            print(
-                "error: --db is single-process only; the fabric uses a "
-                "segmented database under --fabric-dir",
-                file=sys.stderr,
-            )
-            return 2
-        fabric_config = FabricConfig(
-            fabric_dir=args.fabric_dir,
-            host=args.host,
-            port=args.port,
-            shards=args.shards,
-            workers=args.workers,
-            executor=args.executor,
-            queue_limit=args.queue_limit,
-            response_cache_size=args.cache_size,
-            request_timeout_s=args.timeout,
-            drain_timeout_s=args.drain_timeout,
-            breaker_threshold=args.breaker_threshold,
-            breaker_recovery_s=args.breaker_recovery,
-            degraded_mode=not args.no_degraded,
-            lease_ttl_s=args.lease_ttl,
-            steal_interval_s=args.steal_interval,
-            cost_routing=args.cost_routing,
-            cost_threshold_s=args.cost_threshold,
-            cheap_queue_limit=args.cheap_queue_limit,
-            expensive_queue_limit=args.expensive_queue_limit,
-            cheap_timeout_s=args.cheap_timeout,
-            expensive_timeout_s=args.expensive_timeout,
-            expensive_workers=args.expensive_workers,
-            approx_enabled=args.approx,
-            approx_confidence=args.approx_confidence,
-            approx_capacity=args.approx_capacity,
-            adaptive_limits=args.adaptive_limits,
-            adaptive_target_ms=args.adaptive_target_ms,
-            brownout=args.brownout,
-            brownout_approx_confidence=args.brownout_approx_confidence,
-            brownout_escalate_s=args.brownout_escalate,
-            brownout_recover_s=args.brownout_recover,
-            slo_enabled=(
-                args.slo or args.brownout or args.slo_config is not None
-            ),
-            slo_config=args.slo_config,
-            flight_recorder=args.flight_recorder,
+    if args.shards and not args.fabric_dir:
+        print("error: --shards requires --fabric-dir", file=sys.stderr)
+        return 2
+    if args.shards and hasattr(args, "db_path"):
+        print(
+            "error: --db is single-process only; the fabric uses a "
+            "segmented database under --fabric-dir",
+            file=sys.stderr,
         )
-        asyncio.run(serve_fabric(fabric_config))
-        return 0
+        return 2
+    config = serve_config(args)
+    if args.shards:
+        from repro.fabric import serve_fabric
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        executor=args.executor,
-        queue_limit=args.queue_limit,
-        response_cache_size=args.cache_size,
-        request_timeout_s=args.timeout,
-        drain_timeout_s=args.drain_timeout,
-        db_path=args.db,
-        breaker_threshold=args.breaker_threshold,
-        breaker_recovery_s=args.breaker_recovery,
-        degraded_mode=not args.no_degraded,
-        cost_routing=args.cost_routing,
-        cost_threshold_s=args.cost_threshold,
-        cheap_queue_limit=args.cheap_queue_limit,
-        expensive_queue_limit=args.expensive_queue_limit,
-        cheap_timeout_s=args.cheap_timeout,
-        expensive_timeout_s=args.expensive_timeout,
-        expensive_workers=args.expensive_workers,
-        approx_enabled=args.approx,
-        approx_confidence=args.approx_confidence,
-        approx_capacity=args.approx_capacity,
-        adaptive_limits=args.adaptive_limits,
-        adaptive_target_ms=args.adaptive_target_ms,
-        brownout=args.brownout,
-        brownout_approx_confidence=args.brownout_approx_confidence,
-        brownout_escalate_s=args.brownout_escalate,
-        brownout_recover_s=args.brownout_recover,
-        slo_enabled=(
-            args.slo or args.brownout or args.slo_config is not None
-        ),
-        slo_config=args.slo_config,
-        flight_recorder=args.flight_recorder,
-    )
-    asyncio.run(serve(config))
+        asyncio.run(serve_fabric(config))
+    else:
+        from repro.service.server import serve
+
+        asyncio.run(serve(config))
     return 0
 
 

@@ -2,26 +2,29 @@
 
 The shards are *real* OS processes (they must be, for the SIGKILL
 drill and for genuine multi-process database/ledger semantics); only
-the router's asyncio loop runs on a daemon thread in the calling
-process, mirroring :class:`~repro.service.background.BackgroundServer`.
-Use as a context manager::
+the router's asyncio loop runs in the calling process, on the same
+:class:`~repro.service.background.ServerThread` that hosts a
+:class:`~repro.service.background.BackgroundServer`.  Use as a context
+manager::
 
     config = FabricConfig(fabric_dir=str(tmp), port=0, shards=3)
     with BackgroundFabric(config) as fabric:
         fabric.client.predict(stencil="3d7pt")
         fabric.kill_shard(1)          # the drill
+
+Every shard runs a copy of ``config.shard``; pass
+``FabricConfig(..., shard=ServiceConfig(...))`` to change the shards'
+service knobs.
 """
 
 from __future__ import annotations
 
-import asyncio
 import signal
-import threading
-from concurrent.futures import Future
 
 from repro.fabric.config import FabricConfig
 from repro.fabric.proc import FabricSupervisor
 from repro.fabric.router import FabricRouter
+from repro.service.background import ServerThread
 from repro.service.client import ServiceClient
 
 __all__ = ["BackgroundFabric"]
@@ -33,72 +36,37 @@ class BackgroundFabric:
     def __init__(self, config: FabricConfig) -> None:
         self.config = config
         self.supervisor = FabricSupervisor(config)
-        self.router: FabricRouter | None = None
         self.port: int | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._stopped: Future | None = None
+        self._thread = ServerThread(
+            lambda: FabricRouter(
+                config, self.supervisor.ports(), supervisor=self.supervisor
+            ),
+            "repro-fabric-router",
+        )
+
+    @property
+    def router(self) -> FabricRouter | None:
+        """The live router (``None`` before :meth:`start`)."""
+        return self._thread.server
 
     # -- lifecycle ------------------------------------------------------
     def start(self, timeout_s: float = 60.0) -> "BackgroundFabric":
         """Start shards, then the router; blocks until routable."""
-        ports = self.supervisor.start_all(timeout_s=timeout_s)
-        started: Future = Future()
-        self._stopped = Future()
-
-        def runner() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def run() -> None:
-                router = FabricRouter(
-                    self.config, ports, supervisor=self.supervisor
-                )
-                self.router = router
-                try:
-                    port = await router.start()
-                    started.set_result(port)
-                except BaseException as exc:
-                    started.set_exception(exc)
-                    return
-                await router.wait_stopped()
-
-            try:
-                loop.run_until_complete(run())
-                self._stopped.set_result(None)
-            except BaseException as exc:
-                if not self._stopped.done():
-                    self._stopped.set_exception(exc)
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=runner, name="repro-fabric-router", daemon=True
-        )
-        self._thread.start()
+        self.supervisor.start_all(timeout_s=timeout_s)
         try:
-            self.port = started.result(timeout=timeout_s)
+            self.port = self._thread.start(timeout_s)
         except BaseException:
             self.supervisor.stop_all()
             raise
         return self
 
     def stop(self, timeout_s: float = 60.0) -> None:
-        """Drain the router, join its thread, stop every shard."""
-        if self._loop is not None and self.router is not None:
-            try:
-                self._loop.call_soon_threadsafe(self.router.request_drain)
-            except RuntimeError:
-                pass
-        if self._stopped is not None:
-            try:
-                self._stopped.result(timeout=timeout_s)
-            except Exception:
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=timeout_s)
-        self.supervisor.stop_all()
+        """Drain the router, join its thread, then stop every shard
+        (also when the router's stop fails)."""
+        try:
+            self._thread.stop(timeout_s)
+        finally:
+            self.supervisor.stop_all()
 
     def __enter__(self) -> "BackgroundFabric":
         return self.start()

@@ -1,12 +1,15 @@
 """Configuration of one fabric: router + N shard processes.
 
-One frozen dataclass carries the topology knobs (shard count, ring
-vnodes, probe cadence, restart policy) plus the per-shard service
-knobs the supervisor copies into every shard's
-:class:`~repro.service.config.ServiceConfig`.  The CLI (``python -m
-repro serve --shards N``) maps its flags onto these fields; tests
-construct the dataclass directly with ``port=0`` and a tmp
-``fabric_dir``.
+A fabric is its topology (shard count, ring vnodes, probe cadence,
+restart policy) plus one :class:`~repro.service.config.ServiceConfig`
+template, ``shard``, that every shard runs a copy of.  The supervisor
+derives shard ``i``'s config from the template with one
+:func:`dataclasses.replace`, and the router reads its request-body
+limit, drain budget and forward deadline from the same template, so a
+server knob lives in ``ServiceConfig`` alone.  The CLI (``python -m
+repro serve --shards N``) passes its parsed ``ServiceConfig`` as the
+template; tests construct the dataclass directly with ``port=0`` and a
+tmp ``fabric_dir``.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fabric.ring import DEFAULT_VNODES
+from repro.service.config import ServiceConfig
 
 __all__ = ["FabricConfig"]
 
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """All tunables of one fabric.
+    """Topology of one fabric plus its shards' service template.
 
     Parameters
     ----------
@@ -39,7 +43,8 @@ class FabricConfig:
     vnodes:
         Virtual nodes per shard on the consistent-hash ring.
     probe_interval_s:
-        Router health-probe period per shard.
+        Router health-probe period per shard.  The probe loop sleeps
+        one period before its first probe.
     probe_timeout_s:
         Socket timeout of one health probe / forwarded request connect.
     restart_shards:
@@ -48,42 +53,22 @@ class FabricConfig:
         *surviving* shards must finish the dead shard's jobs).
     max_restarts:
         Per-shard restart budget; a shard past it stays down.
-    workers, executor, queue_limit, response_cache_size,
-    request_timeout_s, drain_timeout_s, breaker_threshold,
-    breaker_recovery_s, degraded_mode:
-        Copied into every shard's ServiceConfig (same meanings).
-    lease_ttl_s, steal_interval_s:
-        Job-ledger lease TTL and idle work-stealing period, copied to
-        every shard (see :class:`~repro.service.config.ServiceConfig`).
-    cost_routing, cost_threshold_s, cheap_queue_limit,
-    expensive_queue_limit, cheap_timeout_s, expensive_timeout_s,
-    expensive_workers:
-        Cost-aware admission knobs, copied to every shard.  The router
-        forwards request bodies verbatim, so classification happens on
-        the owning shard.
-    approx_enabled, approx_confidence, approx_capacity:
-        Near-match approximate tier knobs, copied to every shard.  The
-        support sets are per-shard; consistent-hash routing keeps a
-        request family on one shard, so its observations concentrate
-        where its lookups land.
-    adaptive_limits, adaptive_target_ms, brownout,
-    brownout_approx_confidence, brownout_escalate_s,
-    brownout_recover_s:
-        Overload-control knobs (AIMD admission limits and the
-        SLO-driven brownout ladder), copied to every shard.  Each shard
-        runs its own limiter and ladder over its own traffic; the
-        router's fan-in surfaces the per-shard stages and sums the
-        adaptive limits.
-    slo_enabled, slo_config, flight_recorder:
-        SLO-engine and flight-recorder knobs, copied to every shard.
-        Each shard evaluates its own objectives over its own traffic;
-        the router's ``/slo`` and ``/debug/requests`` fan the per-shard
-        documents in.
     shard_faults:
         Optional per-shard fault plans for chaos drills:
         ``((index, "<REPRO_FAULTS grammar>"), ...)``.  Only the named
         shards are armed — the shard-death drill kills exactly the
         job's owner and leaves the adopters clean.
+    shard:
+        The service template every shard runs.  Shard ``i`` gets a copy
+        with ``host``, an ephemeral port, ``shard_id=i`` and the
+        fabric's ``db/`` and ``jobs/`` directories; every other field
+        (pool, admission, cost routing, approximate tier, overload and
+        SLO knobs) is the template's.  The router also refuses request
+        bodies above ``shard.max_body_bytes``, drains for
+        ``shard.drain_timeout_s`` and waits for a forwarded answer up
+        to the template's longest class deadline plus 5 s.  The
+        template must not set ``db_path``: the fabric's database is the
+        segmented one under ``fabric_dir``.
     """
 
     fabric_dir: str
@@ -95,37 +80,10 @@ class FabricConfig:
     probe_timeout_s: float = 5.0
     restart_shards: bool = True
     max_restarts: int = 3
-    workers: int = 1
-    executor: str = "thread"
-    queue_limit: int = 64
-    response_cache_size: int = 1024
-    request_timeout_s: float = 120.0
-    drain_timeout_s: float = 10.0
-    breaker_threshold: int = 5
-    breaker_recovery_s: float = 30.0
-    degraded_mode: bool = True
-    lease_ttl_s: float = 60.0
-    steal_interval_s: float = 0.5
-    cost_routing: bool = False
-    cost_threshold_s: float = 0.25
-    cheap_queue_limit: int | None = None
-    expensive_queue_limit: int | None = None
-    cheap_timeout_s: float | None = None
-    expensive_timeout_s: float | None = None
-    expensive_workers: int | None = None
-    approx_enabled: bool = False
-    approx_confidence: float = 0.75
-    approx_capacity: int = 512
-    adaptive_limits: bool = False
-    adaptive_target_ms: float = 500.0
-    brownout: bool = False
-    brownout_approx_confidence: float = 0.5
-    brownout_escalate_s: float = 2.0
-    brownout_recover_s: float = 5.0
-    slo_enabled: bool = False
-    slo_config: str | None = None
-    flight_recorder: int = 256
     shard_faults: tuple[tuple[int, str], ...] | None = None
+    shard: ServiceConfig = ServiceConfig(
+        workers=1, executor="thread", drain_timeout_s=10.0
+    )
 
     def __post_init__(self) -> None:
         if not self.fabric_dir:
@@ -138,3 +96,8 @@ class FabricConfig:
             raise ValueError("probe intervals must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
+        if self.shard.db_path is not None:
+            raise ValueError(
+                "the shard template must not set db_path: fabric shards "
+                "share the segmented database under fabric_dir"
+            )

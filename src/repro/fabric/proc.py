@@ -9,12 +9,15 @@ router polls that file, so it can never connect to a half-started
 shard.
 
 :class:`FabricSupervisor` owns the process set: it derives every
-shard's :class:`~repro.service.config.ServiceConfig` from one
-:class:`~repro.fabric.config.FabricConfig`, brings the set up, tears
-it down (SIGTERM → join → SIGKILL), and restarts dead shards within a
-per-shard budget.  Restart is the router's *recovery* path; the job
-ledger is the *correctness* path — a killed shard's in-flight tunes
-are adopted by survivors whether or not a replacement comes up.
+shard's :class:`~repro.service.config.ServiceConfig` from the
+``shard`` template of one :class:`~repro.fabric.config.FabricConfig`
+with one ``dataclasses.replace`` (:func:`shard_service_config`), brings
+the set up, tears it down (SIGTERM → join → SIGKILL), and restarts
+dead shards within a per-shard budget.  A shard answers SIGTERM like
+the single server does: it drains, joins its worker pool and exits.
+Restart is the router's *recovery* path; the job ledger is the
+*correctness* path — a killed shard's in-flight tunes are adopted by
+survivors whether or not a replacement comes up.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import multiprocessing
 import os
 import signal
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.fabric.config import FabricConfig
@@ -36,44 +40,17 @@ def _port_file(ports_dir: Path, index: int) -> Path:
 
 
 def shard_service_config(config: FabricConfig, index: int) -> ServiceConfig:
-    """The ServiceConfig shard ``index`` runs under."""
+    """The ServiceConfig shard ``index`` runs under: the fabric's
+    template bound to ``host``, an ephemeral port (announced through
+    the port file), the shard id and the shared state directories."""
     root = Path(config.fabric_dir)
-    return ServiceConfig(
+    return replace(
+        config.shard,
         host=config.host,
-        port=0,  # ephemeral; announced through the port file
-        workers=config.workers,
-        executor=config.executor,
-        queue_limit=config.queue_limit,
-        response_cache_size=config.response_cache_size,
-        request_timeout_s=config.request_timeout_s,
-        drain_timeout_s=config.drain_timeout_s,
-        breaker_threshold=config.breaker_threshold,
-        breaker_recovery_s=config.breaker_recovery_s,
-        degraded_mode=config.degraded_mode,
+        port=0,
         shard_id=index,
         db_dir=str(root / "db"),
         job_dir=str(root / "jobs"),
-        lease_ttl_s=config.lease_ttl_s,
-        steal_interval_s=config.steal_interval_s,
-        cost_routing=config.cost_routing,
-        cost_threshold_s=config.cost_threshold_s,
-        cheap_queue_limit=config.cheap_queue_limit,
-        expensive_queue_limit=config.expensive_queue_limit,
-        cheap_timeout_s=config.cheap_timeout_s,
-        expensive_timeout_s=config.expensive_timeout_s,
-        expensive_workers=config.expensive_workers,
-        approx_enabled=config.approx_enabled,
-        approx_confidence=config.approx_confidence,
-        approx_capacity=config.approx_capacity,
-        adaptive_limits=config.adaptive_limits,
-        adaptive_target_ms=config.adaptive_target_ms,
-        brownout=config.brownout,
-        brownout_approx_confidence=config.brownout_approx_confidence,
-        brownout_escalate_s=config.brownout_escalate_s,
-        brownout_recover_s=config.brownout_recover_s,
-        slo_enabled=config.slo_enabled,
-        slo_config=config.slo_config,
-        flight_recorder=config.flight_recorder,
     )
 
 
@@ -98,12 +75,7 @@ def _shard_main(
         tmp = Path(f"{port_file}.tmp.{os.getpid()}")
         tmp.write_text(str(port))
         os.replace(tmp, port_file)
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, service.request_drain)
-            except (NotImplementedError, RuntimeError):
-                pass
+        service.drain_on_signals()
         await service.wait_stopped()
 
     asyncio.run(run())
@@ -235,7 +207,7 @@ class FabricSupervisor:
         self.restarts[index] = used + 1
         old = self.shards.get(index)
         if old is not None and old.alive:
-            old.stop(timeout_s=self.config.drain_timeout_s)
+            old.stop(timeout_s=self.config.shard.drain_timeout_s)
         shard = self._make_shard(index)
         shard.start()
         self.shards[index] = shard

@@ -23,7 +23,9 @@ Failure semantics:
   concurrent routers agree on the fallback shard too.  Timeouts and
   HTTP errors are **not** rerouted: the response (504, 500, 429...) is
   relayed as-is, because the job may still be running and a reroute
-  would double-execute it.
+  would double-execute it.  A forward times out (502) only past the
+  shard template's longest class deadline plus 5 s, so a shard's own
+  deadline (504) always answers first.
 * A probe loop re-checks ``/healthz`` of every shard each
   ``probe_interval_s``; a dead shard is restarted through the
   supervisor (when ``restart_shards``) and re-joins the ring on its
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import signal
 import time
 from urllib.parse import parse_qs
 
@@ -54,7 +55,7 @@ from repro.engine import RequestError, shard_key
 from repro.fabric.config import FabricConfig
 from repro.fabric.proc import FabricSupervisor
 from repro.fabric.ring import HashRing
-from repro.service.config import ServiceConfig
+from repro.service.cost import JOB_CLASSES
 from repro.service.http1 import (
     Http1Server,
     NoResponse,
@@ -82,6 +83,9 @@ _POOL_CAP = 16
 #: Response headers relayed from shard to client (the rest are
 #: connection-scoped and regenerated by the router).
 _RELAY_HEADERS = ("retry-after",)
+#: How much longer than a shard's own deadline the router waits for
+#: its answer before relaying 502 "shard timeout".
+_FORWARD_SLACK_S = 5.0
 
 
 def _member(index: int) -> str:
@@ -105,10 +109,14 @@ class FabricRouter(Http1Server):
         ports: dict[int, int],
         supervisor: FabricSupervisor | None = None,
     ) -> None:
-        # Bodies are refused at the shards' default limit, so an
-        # oversized request gets the same 413 with or without a router.
-        super().__init__(ServiceConfig.max_body_bytes)
+        # Bodies are refused at the shards' limit, so an oversized
+        # request gets the same 413 with or without a router.
+        super().__init__(config.shard.max_body_bytes)
         self.config = config
+        self._forward_timeout_s = _FORWARD_SLACK_S + max(
+            config.shard.class_timeout_s(job_class)
+            for job_class in JOB_CLASSES
+        )
         self.supervisor = supervisor
         self.ports: dict[str, int] = {
             _member(index): port for index, port in ports.items()
@@ -132,25 +140,14 @@ class FabricRouter(Http1Server):
             str, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
         ] = {}
         self._probe_task: asyncio.Task | None = None
-        self._stop_requested = asyncio.Event()
-        self._started_at: float | None = None
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> int:
         await self._listen(self.config.host, self.config.port)
-        self._started_at = time.monotonic()
         self._probe_task = asyncio.get_running_loop().create_task(
             self._probe_loop()
         )
         return self.port
-
-    def request_drain(self) -> None:
-        self.draining = True
-        self._stop_requested.set()
-
-    async def wait_stopped(self) -> None:
-        await self._stop_requested.wait()
-        await self.stop()
 
     async def stop(self) -> None:
         self.draining = True
@@ -162,16 +159,11 @@ class FabricRouter(Http1Server):
                 pass
             self._probe_task = None
         self._stop_listening()
-        await self._drain_requests(self.config.drain_timeout_s)
+        await self._drain_requests(self.config.shard.drain_timeout_s)
         for member in list(self._pools):
             self._drop_pool(member)
         await self._close_connections()
         self._stop_requested.set()
-
-    def uptime_s(self) -> float:
-        return (
-            time.monotonic() - self._started_at if self._started_at else 0.0
-        )
 
     # -- membership -----------------------------------------------------
     def mark_down(self, member: str) -> None:
@@ -290,14 +282,9 @@ class FabricRouter(Http1Server):
                 status, resp_body, resp_headers = await self._forward(
                     member, method, path, body, extra_headers
                 )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                # Transport-level refusal only: the shard never saw (or
-                # never answered) the request, so retrying elsewhere
-                # cannot double-execute it.
-                self.mark_down(member)
-                self.counters["rerouted"] += 1
-                continue
             except asyncio.TimeoutError:
+                # Caught before the transport clause below: since Python
+                # 3.11 a timeout is the builtin TimeoutError, an OSError.
                 # The shard HAS the request; rerouting would fork it.
                 # Retry-After: the prober's restart backoff — the shard
                 # is wedged or restarting either way.
@@ -306,6 +293,13 @@ class FabricRouter(Http1Server):
                     {"error": "shard timeout", "shard": member},
                     retry_after,
                 )
+            except (ConnectionError, OSError, asyncio.IncompleteReadError):
+                # Transport-level refusal only: the shard never saw (or
+                # never answered) the request, so retrying elsewhere
+                # cannot double-execute it.
+                self.mark_down(member)
+                self.counters["rerouted"] += 1
+                continue
             self.counters["routed"] += 1
             extra = {"X-Repro-Shard": member}
             for name in _RELAY_HEADERS:
@@ -363,8 +357,7 @@ class FabricRouter(Http1Server):
             except ConnectionError as exc:
                 raise NoResponse(str(exc)) from exc
             status, body, headers = await asyncio.wait_for(
-                read_response(reader),
-                timeout=self.config.request_timeout_s + 5.0,
+                read_response(reader), timeout=self._forward_timeout_s
             )
             keep = reusable(headers)
             return status, body, headers
@@ -688,11 +681,7 @@ async def serve_fabric(config: FabricConfig, banner: bool = True) -> None:
                 f"state in {config.fabric_dir})",
                 flush=True,
             )
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, router.request_drain)
-            except (NotImplementedError, RuntimeError):
-                pass
+        router.drain_on_signals()
         await router.wait_stopped()
     finally:
         await loop.run_in_executor(None, supervisor.stop_all)

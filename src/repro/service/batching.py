@@ -224,13 +224,37 @@ class CoalescingDispatcher:
         done, pending = await asyncio.wait(tasks, timeout=timeout)
         return not pending
 
+    def _release_executors(self) -> list[Executor]:
+        executors = [
+            executor
+            for executor in (self._executor, self._expensive_executor)
+            if executor is not None
+        ]
+        self._executor = self._expensive_executor = None
+        return executors
+
     def shutdown(self) -> None:
-        """Tear the pools down (cancels jobs still queued inside them)."""
-        for attr in ("_executor", "_expensive_executor"):
-            executor = getattr(self, attr)
-            if executor is not None:
-                executor.shutdown(wait=False, cancel_futures=True)
-                setattr(self, attr, None)
+        """Tear the pools down without waiting for their workers
+        (cancels jobs still queued inside them)."""
+        for executor in self._release_executors():
+            executor.shutdown(wait=False, cancel_futures=True)
+
+    async def join(self, timeout_s: float) -> None:
+        """Tear the pools down and wait, off the event loop, up to
+        ``timeout_s`` for their workers to exit.
+
+        A process that returns while its pool worker has not yet been
+        told to exit can hang in interpreter shutdown and leave that
+        worker orphaned; joining here rules that out.
+        """
+        joins = [
+            asyncio.ensure_future(
+                asyncio.to_thread(executor.shutdown, cancel_futures=True)
+            )
+            for executor in self._release_executors()
+        ]
+        if joins:
+            await asyncio.wait(joins, timeout=timeout_s)
 
     # -- dispatch -------------------------------------------------------
     def dispatch(

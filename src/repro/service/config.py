@@ -2,9 +2,11 @@
 
 One frozen dataclass carries every knob of the server: network
 binding, worker-pool sizing, admission control, cache sizing and the
-timeouts that bound a request's life.  The CLI (``python -m repro
-serve``) maps its flags 1:1 onto these fields; tests construct the
-dataclass directly with an ephemeral port.
+timeouts that bound a request's life.  It is the one config shape of
+every serving process: ``python -m repro serve`` builds one from its
+flag table (``repro.cli.SERVE_FLAGS``), and a fabric runs every shard
+under a copy of one template (``FabricConfig.shard``).  Tests construct
+the dataclass directly with an ephemeral port.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class ServiceConfig:
         pid is alive (a dead pid is adoptable immediately).
     steal_interval_s:
         Period of the idle-shard work-stealing scan over ``job_dir``
-        (0 disables stealing; rerouted requests still adopt).
+        (0 disables stealing; rerouted requests still adopt).  Read
+        only when ``job_dir`` is set, i.e. on fabric shards.
     cost_routing:
         Cost-aware admission: classify each fresh job at admission by
         an analytic ECM cost estimate and route it to the ``cheap`` or
@@ -170,7 +173,7 @@ class ServiceConfig:
     db_dir: str | None = None
     job_dir: str | None = None
     lease_ttl_s: float = 60.0
-    steal_interval_s: float = 0.0
+    steal_interval_s: float = 0.5
     cost_routing: bool = False
     cost_threshold_s: float = 0.25
     cheap_queue_limit: int | None = None

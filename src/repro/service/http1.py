@@ -14,6 +14,13 @@ module is that subset, once:
 * :func:`encode_request` / :func:`read_response` — the client half,
   used by the router on its pooled shard connections.
 
+Server lifecycle: :class:`Http1Server` also owns the drain/stop state
+every serving process shares (the single server, each fabric shard and
+the router).  :meth:`Http1Server.request_drain` flags the drain,
+:meth:`Http1Server.wait_stopped` waits for it and runs the subclass's
+``stop()``, and :meth:`Http1Server.drain_on_signals` routes SIGTERM and
+SIGINT to ``request_drain``.
+
 Connection lifecycle (server side):
 
 * One deadline, ``read_timeout_s`` (30 s), bounds the wait for the next
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -189,11 +197,12 @@ def encode_response(
 
 
 class Http1Server:
-    """Persistent-connection HTTP/1.1 server loop.
+    """Persistent-connection HTTP/1.1 server loop and its lifecycle.
 
-    Subclasses implement :meth:`respond`, bind with :meth:`_listen` and
-    shut down with :meth:`_stop_listening`, optionally
-    :meth:`_drain_requests`, then :meth:`_close_connections`.
+    Subclasses implement :meth:`respond`, ``start()`` (bind with
+    :meth:`_listen`) and ``stop()`` (shut down with
+    :meth:`_stop_listening`, optionally :meth:`_drain_requests`, then
+    :meth:`_close_connections`).
     """
 
     #: ``Server:`` header of every response.
@@ -210,16 +219,48 @@ class Http1Server:
         #: Open connections and the tasks serving them.
         self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._idle: set[asyncio.StreamWriter] = set()
+        self._stop_requested = asyncio.Event()
+        self._started_at: float | None = None
 
     async def respond(self, request: Request) -> Response:
         raise NotImplementedError
 
     # -- lifecycle ------------------------------------------------------
+    async def stop(self) -> None:
+        """Drain and tear down; ends by setting ``_stop_requested``."""
+        raise NotImplementedError
+
+    def request_drain(self) -> None:
+        """Ask the server to drain and stop (signal-handler safe)."""
+        self.draining = True
+        self._stop_requested.set()
+
+    def drain_on_signals(self) -> None:
+        """Answer SIGTERM and SIGINT with :meth:`request_drain` (a
+        no-op on loops without signal support)."""
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, self.request_drain)
+            except (NotImplementedError, RuntimeError):
+                pass
+
+    async def wait_stopped(self) -> None:
+        """Block until a drain is requested, then shut down cleanly."""
+        await self._stop_requested.wait()
+        await self.stop()
+
+    def uptime_s(self) -> float:
+        return (
+            time.monotonic() - self._started_at if self._started_at else 0.0
+        )
+
     async def _listen(self, host: str, port: int) -> int:
         self._server = await asyncio.start_server(
             self._serve_connection, host, port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._started_at = time.monotonic()
         return self.port
 
     def _stop_listening(self) -> None:

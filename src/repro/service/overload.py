@@ -110,6 +110,10 @@ class ClassLatencyTracker:
         self._samples.append(seconds)
         self.count += 1
 
+    def clear(self) -> None:
+        """Start the window over (``count`` keeps its total)."""
+        self._samples.clear()
+
     def p95(self) -> float | None:
         """Windowed p95 in seconds; ``None`` until enough samples exist
         (admission must not guess from one observation)."""
@@ -159,7 +163,7 @@ class AdaptiveLimiter:
         self.cooldown_s = cooldown_s
         self._now = now_fn
         self._limit = float(ceiling)
-        self._samples: deque[float] = deque(maxlen=window)
+        self._window = ClassLatencyTracker(window)
         self._last_shrink: float | None = None
         self.shrinks = 0
         self.grows = 0
@@ -169,17 +173,10 @@ class AdaptiveLimiter:
         """The current admission bound (integer, in [floor, ceiling])."""
         return max(self.floor, min(self.ceiling, int(self._limit)))
 
-    def _window_p95(self) -> float | None:
-        n = len(self._samples)
-        if n < 4:
-            return None
-        ordered = sorted(self._samples)
-        return ordered[min(n - 1, round(0.95 * (n - 1)))]
-
     def record(self, elapsed_s: float) -> None:
         """Feed one finished job; adjusts the limit."""
-        self._samples.append(elapsed_s)
-        p95 = self._window_p95()
+        self._window.record(elapsed_s)
+        p95 = self._window.p95()
         if p95 is not None and p95 > self.target_s:
             now = self._now()
             if (
@@ -194,7 +191,7 @@ class AdaptiveLimiter:
                 # A cut judges the *old* window's latency; observing it
                 # again next completion would double-punish, so start
                 # the window over at the new limit.
-                self._samples.clear()
+                self._window.clear()
             return
         if self._limit < self.ceiling:
             self._limit = min(

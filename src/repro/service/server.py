@@ -24,7 +24,6 @@ from __future__ import annotations
 import asyncio
 import functools
 import json
-import signal
 import time
 from urllib.parse import parse_qs
 
@@ -145,36 +144,27 @@ class ReproService(Http1Server):
             )
             for path in JOBS
         }
-        self._stop_requested = asyncio.Event()
         self._db_dirty = False
         self._db_save_task: asyncio.Task | None = None
         self._steal_task: asyncio.Task | None = None
         self.steal_counters = {"scans": 0, "adopted": 0}
-        self._started_at: float | None = None
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> int:
         """Bind and start accepting; returns the bound port."""
         await self._listen(self.config.host, self.config.port)
-        self._started_at = time.monotonic()
         if self.config.job_dir and self.config.steal_interval_s > 0:
             self._steal_task = asyncio.get_running_loop().create_task(
                 self._steal_loop()
             )
         return self.port
 
-    def request_drain(self) -> None:
-        """Ask the server to drain and stop (signal-handler safe)."""
-        self.draining = True
-        self._stop_requested.set()
-
-    async def wait_stopped(self) -> None:
-        """Block until a drain is requested, then shut down cleanly."""
-        await self._stop_requested.wait()
-        await self.stop()
-
     async def stop(self, drain: bool = True) -> None:
-        """Close the listener, optionally drain in-flight work, tear down."""
+        """Close the listener, optionally drain in-flight work, tear down.
+
+        With ``drain`` the whole stop, pool join included, gets
+        ``drain_timeout_s``; without it nothing is waited for.
+        """
         self.draining = True
         if self._steal_task is not None:
             self._steal_task.cancel()
@@ -190,15 +180,12 @@ class ReproService(Http1Server):
             await self.dispatcher.drain(
                 max(0.0, deadline - time.monotonic())
             )
-        self.dispatcher.shutdown()
+            await self.dispatcher.join(max(0.0, deadline - time.monotonic()))
+        else:
+            self.dispatcher.shutdown()
         await self._close_connections()
         await self._flush_database_now()
         self._stop_requested.set()
-
-    def uptime_s(self) -> float:
-        return (
-            time.monotonic() - self._started_at if self._started_at else 0.0
-        )
 
     # -- request handling -----------------------------------------------
     async def respond(self, request: Request) -> Response:
@@ -978,12 +965,7 @@ async def serve(config: ServiceConfig, banner: bool = True) -> None:
             f"queue_limit={config.queue_limit})",
             flush=True,
         )
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(sig, service.request_drain)
-        except (NotImplementedError, RuntimeError):  # non-Unix loops
-            pass
+    service.drain_on_signals()
     await service.wait_stopped()
     if banner:
         print("repro-service drained, bye", flush=True)

@@ -3,6 +3,13 @@ single-process service, metric fan-in, and loss-of-shard behavior."""
 
 import http.client
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -43,11 +50,9 @@ def fabric(tmp_path_factory):
         fabric_dir=str(tmp_path_factory.mktemp("fabric")),
         port=0,
         shards=3,
-        executor="thread",
-        workers=1,
         probe_interval_s=0.2,
-        steal_interval_s=0.2,
         restart_shards=False,
+        shard=ServiceConfig(executor="thread", workers=1, steal_interval_s=0.2),
     )
     with BackgroundFabric(config) as fab:
         yield fab
@@ -225,13 +230,30 @@ class TestMetricsFanIn:
             assert row["deadline_s"] > 0
 
 
+@pytest.fixture
+def probe_free_fabric(tmp_path):
+    """A fabric whose router never probes inside a test: the probe loop
+    sleeps one 60 s period before its first probe.  Marking a killed
+    shard down is then left to the request that finds it dead."""
+    config = FabricConfig(
+        fabric_dir=str(tmp_path),
+        port=0,
+        shards=3,
+        probe_interval_s=60.0,
+        restart_shards=False,
+        shard=ServiceConfig(executor="thread", workers=1, steal_interval_s=0.2),
+    )
+    with BackgroundFabric(config) as fab:
+        yield fab
+
+
 @pytest.mark.slow
 class TestShardLoss:
     """Killing a shard degrades health but never availability: its
-    keys reroute deterministically to ring successors.  (Runs last in
-    the module: the shared fabric loses a member here.)"""
+    keys reroute deterministically to ring successors."""
 
-    def test_kill_then_keys_reroute(self, fabric):
+    def test_kill_then_keys_reroute(self, probe_free_fabric):
+        fabric = probe_free_fabric
         ring = HashRing(["0", "1", "2"])
         payload = {"stencil": "3d7pt", "grid": [40, 40, 40]}
         key = shard_key("/predict", payload)
@@ -253,3 +275,64 @@ class TestShardLoss:
         metrics = fabric.client.metrics()
         assert victim in metrics["fabric"]["down"]
         assert metrics["fabric"]["router"]["rerouted"] >= 1
+
+
+def _group_pids(pgid: int) -> list[int]:
+    """Live (non-zombie) processes whose process group is ``pgid``."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state ppid pgrp ...
+        state, _, pgrp = stat[stat.rfind(")") + 2:].split()[:3]
+        if state != "Z" and int(pgrp) == pgid:
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+def test_sigterm_leaves_no_process_of_a_served_fabric(tmp_path):
+    """SIGTERM to ``repro serve --shards 2`` (process pools) drains the
+    router and every shard, and each shard joins its pool worker before
+    it exits: the whole process group is gone within 5 s."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for run in range(3):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "2", "--fabric-dir", str(tmp_path / f"f{run}"),
+             "--workers", "1"],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, start_new_session=True,
+        )
+        try:
+            port = None
+            for line in proc.stdout:
+                match = re.search(r"http://127\.0\.0\.1:(\d+)", line)
+                if match:
+                    port = int(match.group(1))
+                    break
+            assert port, "no fabric banner"
+            for i in range(6):
+                payload = {"stencil": "3d7pt", "grid": [16, 16, 32 + 2 * i]}
+                status, _, _ = raw_request(
+                    "127.0.0.1", port, "POST", "/predict", payload
+                )
+                assert status == 200
+            proc.send_signal(signal.SIGTERM)
+            deadline = time.monotonic() + 5.0
+            assert proc.wait(timeout=5.0) == 0
+            while _group_pids(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert _group_pids(proc.pid) == [], f"run {run}"
+        finally:
+            for pid in _group_pids(proc.pid):
+                os.kill(pid, signal.SIGKILL)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()

@@ -149,11 +149,11 @@ class TestShardDeathDrill:
             fabric_dir=str(tmp_path),
             port=0,
             shards=3,
-            executor="thread",
-            workers=1,
             probe_interval_s=0.2,
-            steal_interval_s=0.2,
             restart_shards=False,  # adoption, not restart, must resolve it
+            shard=ServiceConfig(
+                executor="thread", workers=1, steal_interval_s=0.2
+            ),
             shard_faults=((int(owner), "tuner.eval:nth=6:mode=exit"),),
         )
         with BackgroundFabric(config) as fabric:

@@ -114,11 +114,9 @@ def fabric(tmp_path_factory):
         fabric_dir=str(tmp_path_factory.mktemp("fabric")),
         port=0,
         shards=2,
-        executor="thread",
-        workers=1,
         probe_interval_s=0.2,
-        steal_interval_s=0.2,
         restart_shards=False,
+        shard=ServiceConfig(executor="thread", workers=1, steal_interval_s=0.2),
     )
     with BackgroundFabric(config) as fab:
         yield fab
@@ -421,11 +419,9 @@ def test_sequential_requests_reuse_every_hop(tmp_path, capsys):
         fabric_dir=str(tmp_path),
         port=0,
         shards=2,
-        executor="thread",
-        workers=1,
         probe_interval_s=0.2,
-        steal_interval_s=0.2,
         restart_shards=False,
+        shard=ServiceConfig(executor="thread", workers=1, steal_interval_s=0.2),
     )
     payloads = [dict(PREDICT, grid=[16, 16, 32 + 8 * i]) for i in range(5)]
     with BackgroundFabric(config) as fab:

@@ -4,7 +4,9 @@ Covers the pieces of :mod:`repro.service.overload` in isolation (fake
 clocks, scripted alert sensors), the client-side retry hygiene (full
 jitter, retry budget, deadline stamping), the dispatcher's queue-sweep
 invariant under multi-threaded load, the router's Retry-After hints on
-shard failure, and — critically — that every new knob is inert by
+shard failure, its forward timeout (never rerouted, and no shorter than
+the shard template's longest class deadline) and its template body
+limit, and — critically — that every new knob is inert by
 default: with the flags off, the service's responses stay
 byte-identical to the pre-overload-control service.
 
@@ -19,6 +21,7 @@ import http.client
 import http.server
 import json
 import socket
+import socketserver
 import threading
 import time
 
@@ -30,6 +33,8 @@ from repro.service.background import BackgroundServer
 from repro.service.batching import CoalescingDispatcher, DeadlineSwept, Overloaded
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
+from repro.service.cost import classify
+from repro.service.jobs import normalize_tune
 from repro.service.overload import (
     BROWNOUT_STAGES,
     DEADLINE_HEADER,
@@ -408,13 +413,15 @@ class TestOverloadConfig:
         config = FabricConfig(
             fabric_dir=str(tmp_path),
             shards=1,
-            adaptive_limits=True,
-            adaptive_target_ms=123.0,
-            brownout=True,
-            slo_enabled=True,
-            brownout_escalate_s=1.0,
-            brownout_recover_s=2.0,
-            brownout_approx_confidence=0.25,
+            shard=ServiceConfig(
+                adaptive_limits=True,
+                adaptive_target_ms=123.0,
+                brownout=True,
+                slo_enabled=True,
+                brownout_escalate_s=1.0,
+                brownout_recover_s=2.0,
+                brownout_approx_confidence=0.25,
+            ),
         )
         shard = shard_service_config(config, 0)
         assert shard.adaptive_limits is True
@@ -842,6 +849,148 @@ class TestRouterRetryAfter:
             hosted.close()
         assert status == 504
         assert json.loads(raw)["error"] == "deadline expired"
+
+
+class _FakeShard:
+    """A shard stand-in: reads each request, counts it in ``seen`` and
+    answers 200 ``delay_s`` later (never, with ``delay_s=None``)."""
+
+    def __init__(self, delay_s: float | None) -> None:
+        self.seen = 0
+        self._release = threading.Event()
+        fake = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                if not self.rfile.readline():
+                    return
+                length = 0
+                for line in iter(self.rfile.readline, b"\r\n"):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    if name.strip().lower() == "content-length":
+                        length = int(value)
+                self.rfile.read(length)
+                fake.seen += 1
+                if fake._release.wait(delay_s) or delay_s is None:
+                    return
+                body = b'{"late": true}'
+                self.wfile.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                )
+
+        self._server = socketserver.ThreadingTCPServer(
+            ("127.0.0.1", 0), Handler
+        )
+        self._server.daemon_threads = True
+        self.port = self._server.server_address[1]
+        threading.Thread(
+            target=self._server.serve_forever, daemon=True
+        ).start()
+
+    def close(self) -> None:
+        self._release.set()
+        self._server.shutdown()
+        self._server.server_close()
+
+
+class TestRouterForwardTimeout:
+    """A forward that times out is answered 502 and never rerouted (on
+    every Python: since 3.11 a timeout is also an OSError), and the
+    forward deadline covers the shards' longest class deadline."""
+
+    def test_silent_shards_get_one_502_and_no_reroute(self, tmp_path):
+        shards = [_FakeShard(delay_s=None) for _ in range(2)]
+        config = FabricConfig(
+            fabric_dir=str(tmp_path), shards=2, probe_interval_s=60.0,
+            shard=ServiceConfig(request_timeout_s=0.3),
+        )
+        hosted = _RouterThread(
+            config, {i: shard.port for i, shard in enumerate(shards)}
+        )
+        try:
+            status, body, _ = raw_request(
+                "127.0.0.1", hosted.port, "POST", "/predict", PREDICT
+            )
+            counters = dict(hosted.router.counters)
+        finally:
+            hosted.close()
+            for shard in shards:
+                shard.close()
+        assert status == 502
+        assert json.loads(body)["error"] == "shard timeout"
+        assert counters["shard_down"] == counters["rerouted"] == 0
+        assert sorted(shard.seen for shard in shards) == [0, 1]
+
+    def test_forward_deadline_covers_the_expensive_class(self, tmp_path):
+        tune = {"stencil": "3d7pt", "grid": [64, 64, 64],
+                "tuner": "exhaustive"}
+        assert classify("/tune", normalize_tune(tune), 0.25)[0] == (
+            "expensive"
+        )
+        shard = _FakeShard(delay_s=6.0)
+        config = FabricConfig(
+            fabric_dir=str(tmp_path), shards=1, probe_interval_s=60.0,
+            shard=ServiceConfig(
+                cost_routing=True, request_timeout_s=0.5,
+                expensive_timeout_s=30.0,
+            ),
+        )
+        hosted = _RouterThread(config, {0: shard.port})
+        try:
+            status, body, _ = raw_request(
+                "127.0.0.1", hosted.port, "POST", "/tune", tune
+            )
+        finally:
+            hosted.close()
+            shard.close()
+        assert status == 200
+        assert json.loads(body) == {"late": True}
+
+
+class TestRouterBodyLimit:
+    def test_router_refuses_bodies_above_the_template_limit(self, tmp_path):
+        limit = 4096
+        shard = BackgroundServer(_cfg(max_body_bytes=limit)).start()
+        config = FabricConfig(
+            fabric_dir=str(tmp_path), shards=1, probe_interval_s=60.0,
+            shard=ServiceConfig(max_body_bytes=limit),
+        )
+        hosted = None
+        try:
+            hosted = _RouterThread(config, {0: shard.port})
+            oversized = b"x" * (limit + 1)
+            direct = _raw_body_request(shard.port, oversized)
+            routed = _raw_body_request(hosted.port, oversized)
+            refused_counters = dict(hosted.router.counters)
+            at_limit = _raw_body_request(hosted.port, b"x" * limit)
+            counters = dict(hosted.router.counters)
+            shard_requests = shard.metrics_snapshot()["endpoints"][
+                "/predict"
+            ]["requests"]
+        finally:
+            if hosted is not None:
+                hosted.close()
+            shard.stop()
+        assert direct == (413, b'{"error": "payload too large"}')
+        assert routed == direct
+        assert refused_counters["routed"] == 0
+        assert refused_counters["shard_connects"] == 0
+        # One byte less is forwarded (and refused by the shard as JSON).
+        assert at_limit[0] == 400
+        assert counters["routed"] == 1
+        assert shard_requests == 1
+
+
+def _raw_body_request(port: int, body: bytes) -> tuple[int, bytes]:
+    """POST ``body`` verbatim to /predict; ``(status, body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30.0)
+    try:
+        conn.request("POST", "/predict", body=body)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -202,11 +202,11 @@ class TestFabricHistogramFanIn:
             fabric_dir=str(tmp_path_factory.mktemp("fabric-telemetry")),
             port=0,
             shards=2,
-            executor="thread",
-            workers=1,
             probe_interval_s=0.2,
-            steal_interval_s=0.2,
             restart_shards=False,
+            shard=ServiceConfig(
+                executor="thread", workers=1, steal_interval_s=0.2
+            ),
         )
         with BackgroundFabric(config) as fab:
             for i in range(20):
