@@ -18,13 +18,16 @@ expensive queue while cheap analytic predicts are latency-probed — the
 cheap p95 must not collapse (``cheap_isolation_ratio``), and the cheap
 lane must never shed.
 
-A fifth phase (``bench_overload``) replays the same tune storm against
-a plain one-worker server and one with the overload stack armed (SLO
-burn alerts -> brownout ladder + adaptive limits): the plain server's
-predicts starve behind the sweeps while the armed one pages, browns
-out, and keeps answering predicts from the analytic model.  The
-headline is ``overload_goodput_ratio`` (armed / plain predict goodput,
->= 1 required) plus the guard that the ladder actually engaged.
+A fifth phase (``bench_overload``) sends a storm of greedy tunes, none
+of them repeated, against a plain one-worker server and one with the
+overload stack armed (SLO burn alerts -> brownout ladder + adaptive
+limits): the plain server's predicts starve behind the sweeps while
+the armed one pages, browns out, and keeps answering predicts from the
+analytic model.  The headline is ``overload_goodput_ratio`` (armed /
+plain predict goodput, >= 1 required) plus the guards that the ladder
+actually engaged and that no storm tune was answered from the response
+cache (``overload_storm_cache_hits``, which would mean the storm no
+longer loads the pool).
 
 After the fabric run the job ledger must be fully drained (no pending
 tune job without a published result) and every shard still healthy —
@@ -43,6 +46,7 @@ Run standalone::
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import random
 import sys
@@ -329,15 +333,50 @@ def _overload_target(resilient: bool) -> ServiceConfig:
     return ServiceConfig(**base)
 
 
-def _overload_drive(resilient: bool, quick: bool) -> dict:
+def storm_payloads(seed: int = SEED) -> collections.deque:
+    """Every greedy ``3d7pt`` tune the overload storm may send, shuffled.
+
+    The 566 grids with every side at least 10, ``x`` and ``y`` at most
+    24 and a volume within 8% of 16³, on ``clx`` and ``rome``: each
+    sweep costs about the same (~100 ms), often enough inside the
+    SLO's page window to keep the burn alert alive.  Both drives of one
+    :func:`bench_overload` draw from one deque, so no payload is ever
+    sent twice: a repeated tune would be answered from the response
+    cache (or replayed from the process-wide traffic memo) and would
+    no longer load the one-worker pool.
+    """
+    volume = 16 ** 3
+    payloads = [
+        {
+            "stencil": "3d7pt",
+            "grid": [x, y, z],
+            "machine": machine,
+            "tuner": "greedy",
+            "cache_scale": SCALE,
+        }
+        for machine in ("clx", "rome")
+        for x in range(10, 25)
+        for y in range(10, 25)
+        for z in range(10, 2 * volume // (x * y))
+        if abs(x * y * z - volume) <= 0.08 * volume
+    ]
+    random.Random(seed).shuffle(payloads)
+    return collections.deque(payloads)
+
+
+def _overload_drive(
+    resilient: bool, quick: bool, tunes: collections.deque
+) -> dict:
     """Predict goodput while greedy tunes saturate a one-worker pool.
 
     The same storm hits a plain server and one with the overload stack
     armed (SLO burn -> brownout ladder + adaptive limits): the plain
     server's predicts starve behind multi-second tune sweeps, the
     resilient one pages, browns out, and keeps serving predicts from
-    the analytic model.  Returns goodput/latency plus what the ladder
-    did; ``run()`` reports the ratio.
+    the analytic model.  Each storm tune is taken off ``tunes`` (see
+    :func:`storm_payloads`); a storm thread stops when it is empty.
+    Returns goodput/latency plus what the ladder did and how many storm
+    tunes the response cache answered; ``run()`` reports the ratio.
     """
     window_s = 1.5 if quick else 2.5
     with BackgroundServer(_overload_target(resilient)) as bg:
@@ -347,26 +386,11 @@ def _overload_drive(resilient: bool, quick: bool) -> dict:
 
         def tune_storm(thread_id: int) -> None:
             client = ServiceClient(port=bg.port, retries=0, timeout_s=20.0)
-            k = 0
             while not stop_load.is_set():
-                k += 1
-                # Cycle a 128-combo cross product at near-constant grid
-                # volume: distinct payloads (a cached tune costs nothing
-                # and would defuse the storm) whose ~100ms sweeps land
-                # often enough inside the SLO's page window to keep the
-                # burn alert alive.
-                idx = (thread_id * 43 + k) % 128
-                payload = {
-                    "stencil": "3d7pt",
-                    "grid": [
-                        14 + 2 * (idx % 4),
-                        14 + 2 * ((idx // 4) % 4),
-                        14 + 2 * ((idx // 16) % 4),
-                    ],
-                    "machine": "clx" if idx < 64 else "rome",
-                    "tuner": "greedy",
-                    "cache_scale": SCALE,
-                }
+                try:
+                    payload = tunes.popleft()
+                except IndexError:
+                    return
                 try:
                     client.request("POST", "/tune", payload)
                     tag = "ok"
@@ -445,6 +469,8 @@ def _overload_drive(resilient: bool, quick: bool) -> dict:
         for t in storm:
             t.join(timeout=60.0)
         healthy = bg.client.healthz()["http_status"] == 200
+        tune_row = bg.metrics_snapshot()["endpoints"].get("/tune", {})
+        storm_cache_hits = tune_row.get("outcomes", {}).get("cache", 0)
         max_stage = 0
         if resilient:
             snapshot = bg.client.metrics().get("overload", {})
@@ -474,6 +500,7 @@ def _overload_drive(resilient: bool, quick: bool) -> dict:
         "tune_outcomes": tune_outcomes,
         "engaged": engaged,
         "max_brownout_stage": max_stage,
+        "storm_cache_hits": storm_cache_hits,
         "errors": errors,
         "healthy_after": healthy,
     }
@@ -482,8 +509,9 @@ def _overload_drive(resilient: bool, quick: bool) -> dict:
 def bench_overload(quick: bool) -> dict:
     """Goodput under sustained overload, with/without the resilience
     stack; the headline is ``goodput_ratio`` (armed / plain)."""
-    plain = _overload_drive(resilient=False, quick=quick)
-    armed = _overload_drive(resilient=True, quick=quick)
+    tunes = storm_payloads()
+    plain = _overload_drive(resilient=False, quick=quick, tunes=tunes)
+    armed = _overload_drive(resilient=True, quick=quick, tunes=tunes)
     ratio = (
         round(armed["goodput_rps"] / plain["goodput_rps"], 3)
         if plain["goodput_rps"]
@@ -495,6 +523,8 @@ def bench_overload(quick: bool) -> dict:
         "goodput_ratio": ratio,
         "brownout_engaged": armed["engaged"]
         and armed["max_brownout_stage"] >= 2,
+        "storm_cache_hits": armed["storm_cache_hits"],
+        "storm_unused": len(tunes),
         "errors": plain["errors"] + armed["errors"],
         "healthy_after": plain["healthy_after"] and armed["healthy_after"],
     }
@@ -579,6 +609,9 @@ def to_artifact(result: dict, timestamp: str) -> dict:
             "overload_goodput_ratio": result["overload"]["goodput_ratio"],
             "overload_brownout_engaged": (
                 result["overload"]["brownout_engaged"]
+            ),
+            "overload_storm_cache_hits": (
+                result["overload"]["storm_cache_hits"]
             ),
             "overload_errors": result["overload"]["errors"],
             "overload_healthy_after": result["overload"]["healthy_after"],

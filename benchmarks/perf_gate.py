@@ -99,6 +99,11 @@ GUARDS = {
         # to the analytic stage — otherwise the resilience stack was
         # never exercised.
         "overload_brownout_engaged": lambda v: v is True,
+        # Storm tunes the armed server answered from its response
+        # cache: every storm payload is distinct, so any hit means a
+        # repeated payload, which no longer loads the one-worker pool
+        # and lets the ladder stall.
+        "overload_storm_cache_hits": lambda v: v == 0,
         "overload_errors": lambda v: v == 0,
         "overload_healthy_after": lambda v: v is True,
     },

@@ -166,16 +166,6 @@ class TunerResult:
         return self
 
 
-def _run_variant(
-    spec: StencilSpec,
-    grids: GridSet,
-    plan: KernelPlan,
-    machine: Machine,
-    seed: int,
-) -> Measurement:
-    return simulate_kernel(spec, grids, plan, machine, seed=seed)
-
-
 # --- supervised parallel variant evaluation --------------------------------
 #
 # Measurements are deterministic functions of (plan, seed), so evaluating a

@@ -23,7 +23,6 @@ from repro.cachesim.dispatch import (
     LcAnalysis,
     PredictorError,
     analyze_lc,
-    lc_traffic_report,
     predictor_counters,
 )
 from repro.cachesim.memo import (
@@ -52,7 +51,6 @@ __all__ = [
     "SweepPrefix",
     "analyze_lc",
     "canonical_sweep_plan",
-    "lc_traffic_report",
     "predictor_counters",
     "default_traffic_cache",
     "set_default_traffic_cache",

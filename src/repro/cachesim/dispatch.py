@@ -53,7 +53,6 @@ __all__ = [
     "predictor_counters",
     "LcAnalysis",
     "analyze_lc",
-    "lc_traffic_report",
     "validation_enabled",
 ]
 
@@ -573,14 +572,3 @@ def analyze_lc(
     return LcAnalysis(
         exact=True, reason="", regimes=tuple(regimes), report=report
     )
-
-
-def lc_traffic_report(
-    spec: StencilSpec,
-    grids: GridSet,
-    plan: KernelPlan,
-    machine: Machine,
-    warmup: bool = True,
-) -> TrafficReport | None:
-    """Analytic traffic report, or ``None`` when exactness is unclaimed."""
-    return analyze_lc(spec, grids, plan, machine, warmup=warmup).report

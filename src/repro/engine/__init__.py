@@ -16,10 +16,13 @@ over this layer:
 
 from repro.engine.core import Engine, default_engine, set_default_engine
 from repro.engine.requests import (
+    ParsedRequest,
     PredictRequest,
     RankRequest,
     RequestError,
     TuneRequest,
+    parse_request,
+    request_key,
     shard_key,
 )
 from repro.engine.results import (
@@ -40,6 +43,9 @@ __all__ = [
     "PredictRequest",
     "TuneRequest",
     "RankRequest",
+    "ParsedRequest",
+    "parse_request",
+    "request_key",
     "shard_key",
     "PlanResult",
     "CacheLedger",

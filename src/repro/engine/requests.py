@@ -14,7 +14,11 @@ recorded service responses stay valid across the refactor.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.autotune.search import TUNERS
@@ -28,6 +32,9 @@ __all__ = [
     "PredictRequest",
     "TuneRequest",
     "RankRequest",
+    "ParsedRequest",
+    "parse_request",
+    "request_key",
     "shard_key",
 ]
 
@@ -396,14 +403,153 @@ def shard_key(endpoint: str, payload: dict) -> str:
     Raises :class:`RequestError` on an invalid payload, which a router
     maps to HTTP 400 without touching any shard.
     """
-    name = endpoint.lstrip("/")
-    cls = _SHARD_REQUESTS.get(name)
+    request = _request_class(endpoint).from_payload(payload)
+    return _shard_key_of(endpoint, request)
+
+
+def _request_class(endpoint: str) -> type:
+    cls = _SHARD_REQUESTS.get(endpoint.lstrip("/"))
     if cls is None:
         raise RequestError(f"no shardable endpoint {endpoint!r}")
-    request = cls.from_payload(payload)
+    return cls
+
+
+def _canonical(obj: object) -> str:
+    """Stable JSON form (sorted keys, no whitespace) for identities."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _shard_key_of(endpoint: str, request) -> str:
     if isinstance(request, RankRequest):
         return request.shard_key()
-    canonical = json.dumps(
-        request.to_payload(), sort_keys=True, separators=(",", ":")
-    )
-    return f"{name}|{canonical}"
+    return f"{endpoint.lstrip('/')}|{_canonical(request.to_payload())}"
+
+
+def request_key(endpoint: str, normalized: dict) -> str:
+    """Content hash identifying one request for coalescing/caching."""
+    blob = _canonical({"endpoint": endpoint, "payload": normalized})
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# One parse per request body, shared by the fabric router and the shards
+# ----------------------------------------------------------------------
+#: Parsed bodies :func:`parse_request` keeps, least recently used out
+#: first, and the largest body it keeps.  The memo pays off only for
+#: bodies that repeat (a warm response-cache hit): a stream of distinct
+#: bodies misses every time and costs only the memo's bounded memory.
+PARSE_MEMO_SIZE = 256
+PARSE_MEMO_MAX_BODY = 4096
+
+_PARSE_MEMO: OrderedDict[tuple[str, bytes], "ParsedRequest"] = OrderedDict()
+_PARSE_MEMO_LOCK = threading.Lock()
+
+
+def _fresh(value):
+    """A deep copy of a JSON value (dicts and lists are rebuilt)."""
+    if isinstance(value, dict):
+        return {k: _fresh(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_fresh(v) for v in value]
+    return value
+
+
+class ParsedRequest:
+    """One POST body of ``/predict``, ``/tune`` or ``/rank``, parsed once.
+
+    ``error`` is the HTTP 400 message of an invalid body and ``None``
+    for a valid one.  ``request`` is the typed request whenever the
+    payload normalizes — also for a body whose only fault is a
+    non-boolean ``"exact"``, which the router routes to its owner and
+    the shard refuses.  ``trace``, ``predictor`` and ``exact`` are the
+    execution-only hints, kept outside the canonical payload so they
+    never fork the cache or coalescing identity.  An instance may be
+    shared across requests: it is never mutated after construction
+    (``key`` and ``shard_key`` are computed once, on first use) and
+    :meth:`payload` hands out a fresh copy.
+    """
+
+    def __init__(
+        self,
+        endpoint: str,
+        error: str | None = None,
+        request: PredictRequest | TuneRequest | RankRequest | None = None,
+        trace: bool = False,
+        predictor: object = None,
+        exact: object = False,
+    ) -> None:
+        self.endpoint = endpoint
+        self.error = error
+        self.request = request
+        self.trace = trace
+        self.predictor = predictor
+        self.exact = exact
+        self._payload = request.to_payload() if request is not None else None
+
+    @functools.cached_property
+    def key(self) -> str:
+        """The cache and coalescing identity (:func:`request_key`)."""
+        return request_key(self.endpoint, self._payload)
+
+    @functools.cached_property
+    def shard_key(self) -> str | None:
+        """The routing identity (:func:`shard_key`); ``None`` when the
+        payload does not normalize."""
+        if self.request is None:
+            return None
+        return _shard_key_of(self.endpoint, self.request)
+
+    def payload(self) -> dict:
+        """A fresh copy of the canonical payload (the normalizer's
+        output): the caller may mutate it."""
+        return _fresh(self._payload)
+
+
+def _parse(endpoint: str, body: bytes) -> ParsedRequest:
+    try:
+        payload = json.loads(body.decode() or "{}")
+        if not isinstance(payload, dict):
+            raise RequestError("payload must be a JSON object")
+    except ValueError as exc:
+        return ParsedRequest(endpoint, error=str(exc))
+    # "exact" is checked before normalization, so its message wins
+    # over any field error of the same body.
+    exact = payload.get("exact", False)
+    error = None if isinstance(exact, bool) else '"exact" must be a boolean'
+    hints = {
+        "trace": bool(payload.get("trace")),
+        "predictor": payload.get("predictor"),
+        "exact": exact,
+    }
+    try:
+        request = _request_class(endpoint).from_payload(payload)
+    except ValueError as exc:
+        return ParsedRequest(endpoint, error=error or str(exc), **hints)
+    return ParsedRequest(endpoint, error=error, request=request, **hints)
+
+
+def parse_request(endpoint: str, body: bytes) -> ParsedRequest:
+    """Parse and normalize one raw ``endpoint`` body, memoized.
+
+    The single parse path of the fabric router (which needs
+    :attr:`ParsedRequest.shard_key`) and of every shard (which needs
+    the hints, :attr:`ParsedRequest.key` and the canonical payload).
+    Valid bodies up to :data:`PARSE_MEMO_MAX_BODY` bytes are memoized
+    by ``(endpoint, body)`` in an LRU of :data:`PARSE_MEMO_SIZE`
+    entries; an invalid body is parsed afresh every time, so it never
+    occupies the memo.
+    """
+    memoizable = len(body) <= PARSE_MEMO_MAX_BODY
+    if memoizable:
+        with _PARSE_MEMO_LOCK:
+            parsed = _PARSE_MEMO.get((endpoint, body))
+            if parsed is not None:
+                _PARSE_MEMO.move_to_end((endpoint, body))
+                return parsed
+    parsed = _parse(endpoint, body)
+    if memoizable and parsed.error is None:
+        with _PARSE_MEMO_LOCK:
+            _PARSE_MEMO[endpoint, body] = parsed
+            if len(_PARSE_MEMO) > PARSE_MEMO_SIZE:
+                _PARSE_MEMO.popitem(last=False)
+    return parsed

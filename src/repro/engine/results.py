@@ -31,7 +31,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Kernel plan in result form (mirrors ``plan_to_dict``)."""
+    """Kernel plan in result form: a
+    :class:`~repro.codegen.plan.KernelPlan`'s fields and its label."""
 
     block: tuple[int, ...]
     loop_order: tuple[int, ...] | None

@@ -2,14 +2,14 @@
 
 The router accepts the exact HTTP surface of a single-process
 :class:`~repro.service.server.ReproService` and forwards each POST to
-the shard owning its key.  The shard key is computed with
-:func:`repro.engine.shard_key` — the *same* request normalization the
-shards themselves hash for caching and coalescing — so every request
-for one cache identity lands on one shard and the per-shard response
-LRU is exactly as effective as a single process's.  Bodies are
-forwarded verbatim: the shard re-normalizes and answers byte-identical
-to single-process mode (the only router addition is the
-``X-Repro-Shard`` response header).
+the shard owning its key.  The shard key comes from
+:func:`repro.engine.parse_request` — the *same* memoized parse and
+normalization the shards themselves hash for caching and coalescing —
+so every request for one cache identity lands on one shard and the
+per-shard response LRU is exactly as effective as a single process's.
+Bodies are forwarded verbatim: the shard parses them itself and
+answers byte-identical to single-process mode (the only router
+addition is the ``X-Repro-Shard`` response header).
 
 Failure semantics:
 
@@ -25,7 +25,10 @@ Failure semantics:
   relayed as-is, because the job may still be running and a reroute
   would double-execute it.  A forward times out (502) only past the
   shard template's longest class deadline plus 5 s, so a shard's own
-  deadline (504) always answers first.
+  deadline (504) always answers first.  The forward deadline is one
+  loop timer per exchange, not a task: when it fires it closes the
+  connection, and the exchange reports the timeout — never "closed
+  while idle", which would resend the request on a fresh connection.
 * A probe loop re-checks ``/healthz`` of every shard each
   ``probe_interval_s``; a dead shard is restarted through the
   supervisor (when ``restart_shards``) and re-joins the ring on its
@@ -51,7 +54,7 @@ import json
 import time
 from urllib.parse import parse_qs
 
-from repro.engine import RequestError, shard_key
+from repro.engine import parse_request
 from repro.fabric.config import FabricConfig
 from repro.fabric.proc import FabricSupervisor
 from repro.fabric.ring import HashRing
@@ -225,13 +228,10 @@ class FabricRouter(Http1Server):
         member so the *shard* renders the canonical error response.
         """
         if method == "POST":
-            try:
-                payload = json.loads(body.decode() or "{}")
-                if not isinstance(payload, dict):
-                    raise RequestError("payload must be a JSON object")
-                return self.ring.route_order(shard_key(path, payload))
-            except (ValueError, RequestError):
-                self.counters["bad_shard_key"] += 1
+            key = parse_request(path, body).shard_key
+            if key is not None:
+                return self.ring.route_order(key)
+            self.counters["bad_shard_key"] += 1
         return self.ring.route_order(path)
 
     def _restart_retry_after_s(self) -> int:
@@ -347,21 +347,39 @@ class FabricRouter(Http1Server):
     ) -> tuple[int, bytes, dict[str, str]]:
         """Send ``request`` on ``conn`` and read the answer; the
         connection goes back to ``member``'s pool only after a complete
-        keep-alive response."""
+        keep-alive response.
+
+        The forward deadline is a timer that closes the connection.
+        Whatever error that close surfaces as (a :class:`NoResponse`
+        included), the exchange raises :class:`asyncio.TimeoutError`:
+        the shard has the request, so it must never be resent.
+        """
         reader, writer = conn
         keep = False
+        expired: list[bool] = []
+
+        def expire() -> None:
+            expired.append(True)
+            writer.close()
+
+        timer = asyncio.get_running_loop().call_later(
+            self._forward_timeout_s, expire
+        )
         try:
             try:
                 writer.write(request)
                 await writer.drain()
             except ConnectionError as exc:
                 raise NoResponse(str(exc)) from exc
-            status, body, headers = await asyncio.wait_for(
-                read_response(reader), timeout=self._forward_timeout_s
-            )
+            status, body, headers = await read_response(reader)
             keep = reusable(headers)
             return status, body, headers
+        except (OSError, asyncio.IncompleteReadError) as exc:
+            if expired:
+                raise asyncio.TimeoutError("shard timeout") from exc
+            raise
         finally:
+            timer.cancel()
             if keep:
                 self._put_idle(member, port, conn)
             else:

@@ -1,18 +1,27 @@
-"""Stdlib HTTP client for the service, with retry + backoff.
+"""HTTP client for the service, with retry + backoff.
 
 Connection errors and retryable statuses (429 load-shed, 503 drain)
 back off exponentially and try again; anything else raises
 :class:`ServiceError` carrying the status and decoded body.
 
+The client speaks HTTP/1.1 through the servers' own codec
+(:mod:`repro.service.http1`): each request, head and body, leaves in
+one ``sendall``, and each response is read back through a buffered
+reader with :func:`~repro.service.http1.recv_response`.  Every
+transport or protocol failure raises an :class:`OSError` (a malformed
+answer is a :class:`ConnectionError`), which is what the retry loop
+catches.
+
 Connections are persistent: each thread that uses a client keeps one
-``http.client`` connection to the server and sends request after
-request on it, so the client stays thread-safe (the soak test hammers
-one instance from many threads) without a TCP handshake per request.
-A kept socket is dropped before reuse when it is readable (the server
-closed it while it sat idle), never reused in a forked child, and
-closed when the server answers ``Connection: close``.  A request whose
-*reused* socket fails before the status line is replayed once on a
-fresh socket; that replay is transport bookkeeping, not a retry, and
+socket to the server and sends request after request on it, so the
+client stays thread-safe (the soak test hammers one instance from many
+threads) without a TCP handshake per request.  A kept socket is
+dropped before reuse when it is readable (the server closed it while
+it sat idle), never reused in a forked child, and closed when the
+server answers ``Connection: close`` or delimits its body by EOF (an
+HTTP/1.0 reply without ``Content-Length`` is read to EOF).  A request
+whose *reused* socket fails before the status line is replayed once on
+a fresh socket; that replay is transport bookkeeping, not a retry, and
 costs no retry-budget token.  :meth:`ServiceClient.close` (or garbage
 collection of the client) closes every kept socket.
 
@@ -40,16 +49,22 @@ Three overload-control behaviors ride on the retry loop (see
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import random
 import select
+import socket
 import threading
 import time
 import weakref
 from urllib.parse import quote
 
+from repro.service.http1 import (
+    NoResponse,
+    encode_request,
+    recv_response,
+    reusable,
+)
 from repro.service.overload import DEADLINE_HEADER, format_deadline_ms
 
 __all__ = ["ServiceError", "ServiceClient"]
@@ -60,9 +75,8 @@ _RETRY_BUDGET_CAP = 10.0
 
 
 #: Failures of a reused socket that mean the server closed it before
-#: reading the request (``RemoteDisconnected`` is a
-#: ``ConnectionResetError``): the request is replayed on a fresh socket.
-_STALE_SOCKET_ERRORS = (ConnectionResetError, BrokenPipeError)
+#: reading the request: the request is replayed on a fresh socket.
+_STALE_SOCKET_ERRORS = (NoResponse, ConnectionResetError, BrokenPipeError)
 
 
 def _dropped(sock) -> bool:
@@ -73,6 +87,36 @@ def _dropped(sock) -> bool:
         poller.register(sock, select.POLLIN)
         return bool(poller.poll(0))
     return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Connection:
+    """One kept socket and the buffered reader over it; connects on
+    its first exchange and again after :meth:`close`."""
+
+    def __init__(self, host: str, port: int, timeout_s: float) -> None:
+        self.address = (host, port)
+        self.timeout_s = timeout_s
+        self.sock: socket.socket | None = None
+        self._rfile = None
+
+    def exchange(self, request: bytes) -> tuple[int, bytes, dict[str, str]]:
+        """Send one encoded request and read its response; the socket
+        closes after a response that does not keep it alive."""
+        if self.sock is None:
+            self.sock = socket.create_connection(self.address, self.timeout_s)
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._rfile = self.sock.makefile("rb")
+        self.sock.sendall(request)
+        response = recv_response(self._rfile)
+        if not reusable(response[2]):
+            self.close()
+        return response
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self._rfile.close()
+            self.sock.close()
+            self.sock = self._rfile = None
 
 
 def _close_all(conns: dict) -> None:
@@ -162,9 +206,7 @@ class ServiceClient:
         self.retries_denied = 0
         # One kept connection per thread, with the pid that opened it:
         # {thread: (pid, connection)}, guarded by ``_lock``.
-        self._conns: dict[
-            threading.Thread, tuple[int, http.client.HTTPConnection]
-        ] = {}
+        self._conns: dict[threading.Thread, tuple[int, _Connection]] = {}
         weakref.finalize(self, _close_all, self._conns)
 
     def close(self) -> None:
@@ -173,7 +215,7 @@ class ServiceClient:
             _close_all(self._conns)
 
     # -- transport ------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """This thread's kept connection.  Its socket is closed first
         if the server dropped it; a closed connection reconnects on its
         next request."""
@@ -192,9 +234,7 @@ class ServiceClient:
                 kept[1].close()
             for other in [t for t in self._conns if not t.is_alive()]:
                 self._conns.pop(other)[1].close()
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
+            conn = _Connection(self.host, self.port, self.timeout_s)
             self._conns[thread] = (pid, conn)
             return conn
 
@@ -205,36 +245,30 @@ class ServiceClient:
         payload: dict | None,
         extra_headers: dict[str, str] | None = None,
     ) -> tuple[int, dict | str, dict[str, str]]:
-        body = json.dumps(payload).encode() if payload is not None else None
-        headers = {"Content-Type": "application/json"} if body else {}
-        if extra_headers:
-            headers.update(extra_headers)
+        body = json.dumps(payload).encode() if payload is not None else b""
+        request = encode_request(
+            method, path, f"{self.host}:{self.port}", body, extra_headers
+        )
         conn = self._connection()
         reused = conn.sock is not None
         try:
             try:
-                conn.request(method, path, body=body, headers=headers)
-                resp = conn.getresponse()
+                status, raw, headers = conn.exchange(request)
             except _STALE_SOCKET_ERRORS:
                 if not reused:
                     raise
                 # The server closed the kept socket before reading the
                 # request: replay it once on a fresh socket.
                 conn.close()
-                conn.request(method, path, body=body, headers=headers)
-                resp = conn.getresponse()
-            raw = resp.read().decode()
+                status, raw, headers = conn.exchange(request)
         except BaseException:
             conn.close()
             raise
-        # On "Connection: close" http.client has handed the socket to
-        # the response, which closed it once the body was read.
         try:
             decoded: dict | str = json.loads(raw)
         except ValueError:
-            decoded = raw
-        resp_headers = {k.lower(): v for k, v in resp.getheaders()}
-        return resp.status, decoded, resp_headers
+            decoded = raw.decode()
+        return status, decoded, headers
 
     def _retry_delay_s(
         self, attempt: int, headers: dict[str, str] | None
@@ -312,7 +346,7 @@ class ServiceClient:
                 status, body, headers = self._attempt(
                     method, path, payload, extra_headers
                 )
-            except (ConnectionError, OSError, http.client.HTTPException):
+            except OSError:
                 if attempt >= budget or not self._withdraw_retry_token():
                     raise
                 # transient transport failure

@@ -12,7 +12,16 @@ module is that subset, once:
   :meth:`Http1Server.respond`; the loop reads, writes and decides
   whether the connection stays open.
 * :func:`encode_request` / :func:`read_response` — the client half,
-  used by the router on its pooled shard connections.
+  used by the router on its pooled shard connections;
+  :func:`recv_response` is its blocking twin, used by
+  :class:`~repro.service.client.ServiceClient`.
+* :func:`parse_head` — the one head parser both halves share.
+
+Heads are read in one piece: the server and the router each wait for
+the whole head with one ``readuntil(b"\r\n\r\n")`` and split it
+once.  Heads are CRLF-only (RFC 9112 §2.2 lets a recipient decline
+bare-LF line endings): a head ending in a bare LF never completes, so
+the server closes it unanswered at the read deadline.
 
 Server lifecycle: :class:`Http1Server` also owns the drain/stop state
 every serving process shares (the single server, each fabric shard and
@@ -24,15 +33,17 @@ SIGINT to ``request_drain``.
 Connection lifecycle (server side):
 
 * One deadline, ``read_timeout_s`` (30 s), bounds the wait for the next
-  request line *and* the read of its headers and body, so it is both
-  the idle timeout and the slow-client (slowloris) guard.
+  request's head *and* the read of its body, so it is both the idle
+  timeout and the slow-client (slowloris) guard.  EOF, and a head
+  longer than the stream's limit (64 KiB), close the connection
+  quietly.
 * A connection is served until the client sends ``Connection: close``
   or speaks HTTP/1.0, a refused request leaves unread body bytes
   (413, malformed ``Content-Length``, any ``Transfer-Encoding``), the
   deadline passes, or the server drains.  Every response says
   ``Connection: keep-alive`` or ``Connection: close`` to match.
-* ``_active_requests`` counts requests in flight — from their request
-  line to the end of their response — not open connections.
+* ``_active_requests`` counts requests in flight — from their complete
+  head to the end of their response — not open connections.
   :meth:`Http1Server._stop_listening` closes the listener *and* every
   idle connection at once; requests in flight finish and are answered
   ``Connection: close``.  (Since Python 3.12 ``Server.wait_closed()``
@@ -59,8 +70,10 @@ __all__ = [
     "encode_request",
     "encode_response",
     "json_response",
+    "parse_head",
     "read_request",
     "read_response",
+    "recv_response",
     "reusable",
 ]
 
@@ -68,6 +81,13 @@ __all__ = [
 #: (request line, headers and body): the idle timeout of a kept-alive
 #: connection and the bound on a stalled client.
 READ_TIMEOUT_S = 30.0
+
+#: The blank line that ends every head, request or response.
+HEAD_END = b"\r\n\r\n"
+
+#: Longest head line :func:`recv_response` reads (the asyncio readers'
+#: stream limit bounds a whole head to the same 64 KiB).
+_MAX_LINE = 65536
 
 STATUS_TEXT = {
     200: "OK",
@@ -124,28 +144,27 @@ def json_response(
     return Response(status, json.dumps(payload).encode(), headers)
 
 
-async def _read_headers(reader: asyncio.StreamReader) -> dict[str, str]:
-    """Header block up to its blank line; repeated names are joined
-    with ``", "``.  Raises :class:`asyncio.IncompleteReadError` if the
-    stream ends first."""
+def parse_head(head: bytes) -> tuple[list[str], dict[str, str]]:
+    """Split one head, start line through its blank line, into the
+    start line's whitespace-separated parts and the lower-cased
+    headers; a repeated name's values are joined with ``", "``."""
+    lines = head.decode("latin-1").split("\r\n")
     headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n"):
-            return headers
-        if not line.endswith(b"\n"):
-            raise asyncio.IncompleteReadError(line, None)
-        name, _, value = line.decode("latin-1").partition(":")
+    for line in lines[1:]:
+        if not line:
+            continue  # the blank line that ends the head
+        name, _, value = line.partition(":")
         name, value = name.strip().lower(), value.strip()
         headers[name] = (
             f"{headers[name]}, {value}" if name in headers else value
         )
+    return lines[0].split(), headers
 
 
 async def read_request(
-    reader: asyncio.StreamReader, request_line: bytes, max_body_bytes: int
+    reader: asyncio.StreamReader, head: bytes, max_body_bytes: int
 ) -> Request | None:
-    """The rest of the request that ``request_line`` starts.
+    """The request ``head`` starts, with its body read from ``reader``.
 
     ``None`` for an unparseable request line.  Raises
     :class:`HttpError` for a body the server will not read: a
@@ -154,12 +173,11 @@ async def read_request(
     connection must close after any of them: the unread body bytes
     would otherwise be parsed as the next request.
     """
-    parts = request_line.decode("latin-1").split()
-    if len(parts) < 2 or not request_line.endswith(b"\n"):
+    parts, headers = parse_head(head)
+    if len(parts) < 2:
         return None
     method, target = parts[0].upper(), parts[1]
     version = parts[2] if len(parts) > 2 else "HTTP/1.0"
-    headers = await _read_headers(reader)
     if "transfer-encoding" in headers:
         raise HttpError(501, "transfer-encoding not supported")
     length = headers.get("content-length", "0")
@@ -327,25 +345,23 @@ class Http1Server:
         )
         self._idle.add(writer)
         try:
-            line = await reader.readline()
-        except ValueError:  # request line over the stream's limit
-            line = b""
+            head = await reader.readuntil(HEAD_END)
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            head = b""  # EOF, or a head over the stream's limit
         finally:
             self._idle.discard(writer)
-        if not line:
+        if not head:
             expiry.cancel()
             return False
         self._active_requests += 1
         try:
             try:
                 request = await read_request(
-                    reader, line, self.max_body_bytes
+                    reader, head, self.max_body_bytes
                 )
             except HttpError as err:
                 response = json_response(err.status, {"error": err.message})
                 await self._write(writer, response, keep_alive=False)
-                return False
-            except ValueError:  # header line over the stream's limit
                 return False
             finally:
                 expiry.cancel()
@@ -387,29 +403,81 @@ def encode_request(
     )
 
 
+class _BadResponse(ConnectionError):
+    """The peer's answer is not an HTTP/1.1 response this codec reads."""
+
+
+def _response_head(head: bytes) -> tuple[int, int | None, dict[str, str]]:
+    """``(status, content length or None, headers)`` of one response
+    head; :class:`ConnectionError` when it is malformed."""
+    parts, headers = parse_head(head)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/") or not (
+        parts[1].isascii() and parts[1].isdigit()
+    ):
+        raise _BadResponse(f"malformed status line {head[:80]!r}")
+    length = headers.get("content-length")
+    if length is None:
+        return int(parts[1]), None, headers
+    if not (length.isascii() and length.isdigit()):
+        raise _BadResponse(f"malformed content-length {length!r}")
+    return int(parts[1]), int(length), headers
+
+
 async def read_response(
     reader: asyncio.StreamReader,
 ) -> tuple[int, bytes, dict[str, str]]:
     """One response: ``(status, body, lower-cased headers)``.
 
     Raises :class:`NoResponse` when the stream ends or resets before
-    the first status-line byte, so a caller can tell "never answered"
-    from a broken answer.
+    any byte of a status line arrived, or resets before the head is
+    complete, so a caller can tell "never answered" from a broken
+    answer; a head cut short by EOF raises
+    :class:`asyncio.IncompleteReadError`, a malformed one
+    :class:`ConnectionError`.
     """
     try:
-        first = await reader.readexactly(1)
-    except (asyncio.IncompleteReadError, ConnectionError) as exc:
+        head = await reader.readuntil(HEAD_END)
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise
         raise NoResponse("connection closed before a status line") from exc
-    parts = (first + await reader.readline()).decode("latin-1").split()
-    if len(parts) < 2:
-        raise ConnectionError("malformed status line")
-    status = int(parts[1])
-    headers = await _read_headers(reader)
-    length = headers.get("content-length")
-    if length is not None:
-        body = await reader.readexactly(int(length))
-    else:
-        body = await reader.read()
+    except asyncio.LimitOverrunError as exc:
+        raise _BadResponse("response head over the stream limit") from exc
+    except ConnectionError as exc:
+        raise NoResponse("connection reset before a whole head") from exc
+    status, length, headers = _response_head(head)
+    if length is None:
+        return status, await reader.read(), headers
+    return status, await reader.readexactly(length), headers
+
+
+def recv_response(rfile) -> tuple[int, bytes, dict[str, str]]:
+    """Blocking twin of :func:`read_response` over a buffered binary
+    file (a socket's ``makefile("rb")``).
+
+    Every failure is an :class:`OSError`: :class:`NoResponse` at EOF
+    before a status line, :class:`ConnectionError` for a head or body
+    cut short or malformed, and the socket's own timeout and reset
+    errors.
+    """
+    lines: list[bytes] = []
+    while not lines or lines[-1] != b"\r\n":
+        line = rfile.readline(_MAX_LINE)
+        if not line.endswith(b"\n"):
+            if not (line or lines):
+                raise NoResponse("connection closed before a status line")
+            raise _BadResponse(
+                "response head line over the limit"
+                if len(line) >= _MAX_LINE
+                else "connection closed mid-head"
+            )
+        lines.append(line)
+    status, length, headers = _response_head(b"".join(lines))
+    body = rfile.read() if length is None else rfile.read(length)
+    if length is not None and len(body) < length:
+        raise _BadResponse(
+            f"connection closed after {len(body)} of {length} body bytes"
+        )
     return status, body, headers
 
 

@@ -7,7 +7,10 @@ meaning the same thing normalize identically, which is what request
 coalescing and the response cache key on) and a *job* (a pure
 top-level function taking the normalized payload and returning a
 JSON-ready dict, picklable so it runs unchanged on a thread or process
-pool).
+pool).  The server itself parses request bodies with
+:func:`repro.engine.parse_request`, which applies the same
+normalization once per distinct body and yields the
+:func:`~repro.engine.request_key` identity (re-exported here).
 
 Jobs report the traffic-memoization ledger of their own run under a
 ``"traffic_cache"`` key, so the server can aggregate per-tier hit
@@ -25,7 +28,6 @@ envelope so cached responses stay byte-identical to untraced ones.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import time
 
@@ -36,9 +38,9 @@ from repro.engine import (
     RequestError,
     TuneRequest,
     default_engine,
+    request_key,
 )
 from repro.service.serializers import (
-    canonical_dumps,
     predict_result_to_dict,
     rank_result_to_dict,
     tune_result_to_dict,
@@ -242,9 +244,3 @@ def run_traced_job(endpoint: str, payload: dict) -> dict:
     finally:
         root = trace.finish()
     return {"result": result, "trace": root.to_dict()}
-
-
-def request_key(endpoint: str, normalized: dict) -> str:
-    """Content hash identifying one request for coalescing/caching."""
-    blob = canonical_dumps({"endpoint": endpoint, "payload": normalized})
-    return hashlib.sha256(blob.encode()).hexdigest()

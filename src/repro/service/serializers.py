@@ -5,23 +5,13 @@ Every serializer maps one result object onto plain built-in types, so
 byte-identical to what a direct library call would serialize to —
 the soak test asserts exactly that.
 
-Two families live here.  The ``*_result_*`` functions are the
-canonical serializers for the :mod:`repro.engine` result dataclasses
-(with ``*_result_from_dict`` inverses; the round-trip tests assert
-``from_dict(to_dict(x)) == x``).  The legacy functions
-(:func:`prediction_to_dict`, :func:`tuner_result_to_dict`,
-:func:`ranking_report_to_dict`) serialize the library-level objects
-directly and define the historical key orders the canonical family
-preserves.
+The ``*_result_*`` functions are the canonical serializers for the
+:mod:`repro.engine` result dataclasses (with ``*_result_from_dict``
+inverses; the round-trip tests assert ``from_dict(to_dict(x)) == x``).
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.autotune.search import TunerResult
-from repro.codegen.plan import KernelPlan
-from repro.ecm.model import EcmPrediction
 from repro.engine.results import (
     CacheLedger,
     PlanResult,
@@ -32,14 +22,8 @@ from repro.engine.results import (
     VariantTimingResult,
 )
 from repro.offsite.database import TuningRecord
-from repro.offsite.tuner import RankingReport
 
 __all__ = [
-    "canonical_dumps",
-    "plan_to_dict",
-    "prediction_to_dict",
-    "tuner_result_to_dict",
-    "ranking_report_to_dict",
     "tuning_record_to_dict",
     "plan_result_to_dict",
     "plan_result_from_dict",
@@ -54,124 +38,11 @@ __all__ = [
 ]
 
 
-def canonical_dumps(obj: object) -> str:
-    """Stable JSON form (sorted keys, no whitespace) for hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def plan_to_dict(plan: KernelPlan) -> dict:
-    """JSON form of a kernel plan."""
-    return {
-        "block": list(plan.block),
-        "loop_order": list(plan.loop_order) if plan.loop_order else None,
-        "threads": plan.threads,
-        "wavefront": plan.wavefront,
-        "label": plan.describe(),
-    }
-
-
-def prediction_to_dict(
-    pred: EcmPrediction, plan: KernelPlan | None = None
-) -> dict:
-    """JSON form of a single-core ECM prediction."""
-    data = {
-        "stencil": pred.spec_name,
-        "machine": pred.machine_name,
-        "plan": plan_to_dict(plan) if plan is not None else pred.plan_label,
-        "ecm_notation": pred.notation(),
-        "t_ol_cycles": pred.t_ol,
-        "t_nol_cycles": pred.t_nol,
-        "t_data_cycles": list(pred.t_data),
-        "t_ecm_cycles": pred.t_ecm,
-        "regimes": list(pred.traffic.regimes),
-        "cycles_per_lup": pred.cycles_per_lup,
-        "mlups": pred.mlups,
-        "mem_bytes_per_lup": pred.memory_bytes_per_lup(),
-        "freq_ghz": pred.freq_ghz,
-    }
-    return data
-
-
-def tuner_result_to_dict(res: TunerResult) -> dict:
-    """JSON form of a tuning run, including its cost ledger."""
-    return {
-        "tuner": res.tuner,
-        "best_plan": plan_to_dict(res.best_plan),
-        "best_mlups": res.best_mlups,
-        "variants_examined": res.variants_examined,
-        "variants_run": res.variants_run,
-        "simulated_run_seconds": res.simulated_run_seconds,
-        "workers": res.workers,
-        "traffic_cache": {
-            "hits": res.traffic_cache_hits,
-            "misses": res.traffic_cache_misses,
-            "lc_served": res.lc_served,
-            "sim_served": res.sim_served,
-            "lc_validation_mismatch": res.lc_validation_mismatch,
-            "memory_hits": res.traffic_mem_hits,
-            "memory_misses": res.traffic_mem_misses,
-            "disk_hits": res.traffic_disk_hits,
-            "disk_misses": res.traffic_disk_misses,
-        },
-        "recovery": {
-            "degraded": res.degraded,
-            "retried_jobs": res.retried_jobs,
-            "failed_jobs": list(res.failed_jobs),
-            "skipped_jobs": list(res.skipped_jobs),
-            "pool_restarts": res.pool_restarts,
-            "resumed_jobs": res.resumed_jobs,
-            "in_process_fallback": res.in_process_fallback,
-        },
-    }
-
-
-def ranking_report_to_dict(report: RankingReport) -> dict:
-    """JSON form of an Offsite variant-ranking run."""
-    ranking = [
-        t.variant
-        for t in sorted(report.timings, key=lambda t: t.predicted_s)
-    ]
-    best = report.best_predicted()
-    return {
-        "method": report.method,
-        "ivp": report.ivp,
-        "machine": report.machine,
-        "timings": [
-            {
-                "variant": t.variant,
-                "predicted_s": t.predicted_s,
-                "measured_s": t.measured_s,
-                "error_pct": t.error_pct,
-                "sweeps_per_step": t.sweeps_per_step,
-                "mem_bytes_per_lup": t.mem_bytes_per_lup,
-            }
-            for t in report.timings
-        ],
-        "ranking": ranking,
-        "best_predicted": {
-            "variant": best.variant,
-            "predicted_s": best.predicted_s,
-        },
-        "kendall_tau": report.kendall_tau,
-        "top1_hit": report.top1_hit,
-        "predict_seconds": report.predict_seconds,
-        "measure_seconds": report.measure_seconds,
-        "traffic_cache": {
-            "hits": report.traffic_cache_hits,
-            "misses": report.traffic_cache_misses,
-            "memory_hits": report.traffic_mem_hits,
-            "memory_misses": report.traffic_mem_misses,
-            "disk_hits": report.traffic_disk_hits,
-            "disk_misses": report.traffic_disk_misses,
-        },
-    }
-
-
 # ----------------------------------------------------------------------
 # Canonical serializers for the repro.engine result dataclasses.
-# Key orders replicate the legacy serializers above byte-for-byte
-# (json.dumps preserves insertion order, and the service's recorded
-# responses and the soak test depend on the exact bytes).
+# Key orders are part of the wire format: json.dumps preserves
+# insertion order, and the service's recorded responses and the soak
+# test depend on the exact bytes.
 # ----------------------------------------------------------------------
 def plan_result_to_dict(plan: PlanResult) -> dict:
     """JSON form of an engine :class:`PlanResult`."""

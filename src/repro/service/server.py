@@ -2,8 +2,9 @@
 
 Layering of one POST request (``/predict``, ``/tune``, ``/rank``)::
 
-    parse + normalize                 (400 on bad payload)
-      └─ tier 1: LRU response cache  (identical request already solved)
+    parse + normalize                 (memoized per body; 400 on bad payload)
+      └─ tier 1: LRU response cache  (identical request already solved;
+                                      holds encoded results)
           └─ tier 3: tuning database (/rank, validate=false: the warm
              Offsite store — rankings computed once, then looked up)
               └─ coalesce            (identical request in flight joins it)
@@ -25,9 +26,11 @@ import asyncio
 import functools
 import json
 import time
+from typing import NamedTuple
 from urllib.parse import parse_qs
 
 from repro import faults, obs
+from repro.engine import parse_request
 from repro.offsite.database import TuningDatabase, TuningKey, TuningRecord
 from repro.service.batching import (
     CoalescingDispatcher,
@@ -42,9 +45,7 @@ from repro.service.overload import BrownoutLadder, deadline_from_headers
 from repro.service.jobs import (
     DEGRADED_JOBS,
     JOBS,
-    JobError,
     rank_db_key_parts,
-    request_key,
     run_traced_job,
 )
 from repro.service.metrics import ServiceMetrics
@@ -77,6 +78,35 @@ def _flag(params: dict, name: str) -> bool:
 #: from the unified store substrate; the alias keeps the historical
 #: name importable.
 _LruCache = LruTier
+
+
+class _Envelope(NamedTuple):
+    """A rendered response envelope: its ``served`` label (for the
+    flight recorder) and its JSON bytes."""
+
+    served: str
+    body: bytes
+
+
+@functools.lru_cache(maxsize=None)
+def _envelope_head(endpoint: str, served: str) -> bytes:
+    return (
+        f'{{"endpoint": {json.dumps(endpoint)}, '
+        f'"served": {json.dumps(served)}, "result": '
+    ).encode()
+
+
+def _envelope(
+    endpoint: str, served: str, result: bytes, trace: bytes | None = None
+) -> _Envelope:
+    """The envelope ``json.dumps`` would render for ``{"endpoint",
+    "served", "result"[, "trace"]}``, built from the members' encoded
+    bytes: with default separators a JSON object is the concatenation
+    of its members, so the bytes are identical."""
+    head = _envelope_head(endpoint, served)
+    if trace is None:
+        return _Envelope(served, head + result + b"}")
+    return _Envelope(served, head + result + b', "trace": ' + trace + b"}")
 
 
 class ReproService(Http1Server):
@@ -307,9 +337,14 @@ class ReproService(Http1Server):
         deadline_epoch = deadline_from_headers(req_headers)
         if self.ladder is not None:
             self.ladder.evaluate()
-        outcome, status, response, headers = await self._process_job(
+        outcome, status, document, headers = await self._process_job(
             endpoint, body, stages, note, deadline_epoch
         )
+        if isinstance(document, _Envelope):
+            served, response = document
+        else:
+            served = document.get("served")
+            response = json.dumps(document).encode()
         elapsed = time.perf_counter() - t0
         # Count the request *before* the response leaves, so a client
         # that reads /metrics right after a reply sees it included.
@@ -322,14 +357,14 @@ class ReproService(Http1Server):
             status=status,
             shard=self.config.shard_id,
             latency_ms=round(elapsed * 1e3, 3),
-            served=response.get("served"),
+            served=served,
             **note,
             stages_ms={
                 name: round(seconds * 1e3, 3)
                 for name, seconds in stages.items()
             },
         )
-        return json_response(status, response, headers)
+        return Response(status, response, headers)
 
     async def _process_job(
         self,
@@ -338,10 +373,12 @@ class ReproService(Http1Server):
         stages: dict[str, float] | None = None,
         note: dict | None = None,
         deadline_epoch: float | None = None,
-    ) -> tuple[str, int, dict, dict[str, str] | None]:
+    ) -> tuple[str, int, dict | _Envelope, dict[str, str] | None]:
         """Resolve one POST through the cache tiers and the pool.
 
-        Returns ``(outcome, http_status, response, extra_headers)``.
+        Returns ``(outcome, http_status, response, extra_headers)``; the
+        response is a JSON document, or an envelope already rendered
+        from the response tier's encoded bytes.
         Stage wall times (normalize/cache/execute, plus span aggregates
         for traced requests) are folded into ``/metrics`` on every exit
         path with one batched call; ``note`` collects flight-recorder
@@ -364,38 +401,29 @@ class ReproService(Http1Server):
         stages: dict[str, float],
         note: dict,
         deadline_epoch: float | None = None,
-    ) -> tuple[str, int, dict, dict[str, str] | None]:
-        normalizer, job = JOBS[endpoint]
+    ) -> tuple[str, int, dict | _Envelope, dict[str, str] | None]:
+        job = JOBS[endpoint][1]
+        # One memoized parse (shared with the fabric router): a repeated
+        # body costs one dictionary lookup here.  The trace flag rides
+        # outside the normalized payload: traced and untraced requests
+        # share one cache/coalescing identity, so tracing can never
+        # fork the response space.  The predictor hint works the same
+        # way — validated during normalization but excluded from the
+        # canonical payload.  That sharing is sound only because
+        # normalization rejects predictor="lc" for /tune (see
+        # TuneRequest): the admitted modes ("auto"/"simulate") produce
+        # bit-identical reports, so a response computed under one
+        # serves them all.  "exact": true opts this request out of the
+        # near-match approximate tier; like trace/predictor it is
+        # execution-only (exact and approximable requests are both
+        # satisfied by the exact answer; only the serving path differs).
         t_stage = time.perf_counter()
-        try:
-            payload = json.loads(body.decode() or "{}")
-            if not isinstance(payload, dict):
-                raise JobError("payload must be a JSON object")
-            # The trace flag rides outside the normalized payload:
-            # traced and untraced requests share one cache/coalescing
-            # identity, so tracing can never fork the response space.
-            # The predictor hint works the same way — validated during
-            # normalization but excluded from the canonical payload.
-            # That sharing is sound only because normalization rejects
-            # predictor="lc" for /tune (see TuneRequest): the admitted
-            # modes ("auto"/"simulate") produce bit-identical reports,
-            # so a response computed under one serves them all.
-            want_trace = bool(payload.get("trace"))
-            requested_predictor = payload.get("predictor")
-            # "exact": true opts this request out of the near-match
-            # approximate tier.  Like trace/predictor it is
-            # execution-only: exact and approximable requests share one
-            # cache/coalescing identity (both are satisfied by the
-            # exact answer; only the serving path differs).
-            want_exact = payload.get("exact", False)
-            if not isinstance(want_exact, bool):
-                raise JobError('"exact" must be a boolean')
-            normalized = normalizer(payload)
-        except (ValueError, JobError) as exc:
-            return "failed", 400, {"error": str(exc)}, None
-        finally:
-            stages["normalize"] = time.perf_counter() - t_stage
-        key = request_key(endpoint, normalized)
+        parsed = parse_request(endpoint, body)
+        stages["normalize"] = time.perf_counter() - t_stage
+        if parsed.error is not None:
+            return "failed", 400, {"error": parsed.error}, None
+        want_trace = parsed.trace
+        key = parsed.key
 
         def envelope(
             served: str, result: dict, trace: dict | None = None
@@ -428,12 +456,17 @@ class ReproService(Http1Server):
             return "degraded", 200, env, None
 
         t_stage = time.perf_counter()
-        # Tier 1: in-process response LRU (its own ledger is attached
-        # to /metrics — no per-request bookkeeping here).
+        # Tier 1: in-process response LRU of encoded results (its own
+        # ledger is attached to /metrics — no per-request bookkeeping
+        # here).
         cached = self.response_cache.get(key)
         if cached is not None:
             stages["cache"] = time.perf_counter() - t_stage
-            return "cache", 200, envelope("response-cache", cached), None
+            return "cache", 200, _envelope(
+                endpoint, "response-cache", cached,
+                b"null" if want_trace else None,
+            ), None
+        normalized = parsed.payload()
 
         # Tier 3: the warm Offsite tuning database (/rank lookups;
         # validated rankings always recompute measurements).
@@ -458,7 +491,7 @@ class ReproService(Http1Server):
         # below the configured confidence.  The answer is served but
         # NEVER written into any exact tier.
         brownout_stage = 0 if self.ladder is None else self.ladder.stage
-        if self.approx_tier is not None and not want_exact:
+        if self.approx_tier is not None and not parsed.exact:
             # Brownout stage 1+ widens acceptance: a lower-confidence
             # interpolation beats queueing on a saturated pool.  The
             # bar only ever *loosens* — a brownout confidence above the
@@ -592,8 +625,8 @@ class ReproService(Http1Server):
                 job_payload["deadline"] = min(
                     job_payload["deadline"], deadline_epoch
                 )
-            if requested_predictor is not None:
-                job_payload["predictor"] = requested_predictor
+            if parsed.predictor is not None:
+                job_payload["predictor"] = parsed.predictor
             if self.config.job_dir:
                 # Fabric mode: run the tune through the shared job
                 # ledger (enqueue + lease + checkpoint + publish) so a
@@ -607,8 +640,13 @@ class ReproService(Http1Server):
 
         # Coalesce + admit + batch onto the pool.  The completion hook
         # fills the caches before the in-flight key is released, so
-        # identical late arrivals can never re-execute.
+        # identical late arrivals can never re-execute.  It encodes the
+        # result once, for the response tier and for this request's
+        # response; coalesced waiters encode their own.
+        encoded: list[bytes] = []
+
         def on_result(result: dict) -> None:
+            encoded.append(json.dumps(result).encode())
             # Degraded results (partial searches after exhausted retries,
             # skipped jobs, or a failed validation run) are served to the
             # waiters that shared the in-flight run but never pinned in
@@ -619,7 +657,7 @@ class ReproService(Http1Server):
                 isinstance(recovery, dict) and recovery.get("degraded")
             )
             if not degraded:
-                self.response_cache.put(key, result)
+                self.response_cache.put(key, encoded[0])
                 # Exact, non-degraded results become interpolation
                 # support for the near-match tier.  Approximate answers
                 # never reach this hook (they are served before
@@ -764,11 +802,13 @@ class ReproService(Http1Server):
             stages["execute"] = time.perf_counter() - t_stage
         if mode == "fresh":
             breaker.record_success()
+        trace = None
         if want_trace:
-            trace = result["trace"]
-            obs.fold_stage_seconds(trace, stages)
-            return mode, 200, envelope(mode, result["result"], trace), None
-        return mode, 200, envelope(mode, result), None
+            obs.fold_stage_seconds(result["trace"], stages)
+            trace = json.dumps(result["trace"]).encode()
+            result = result["result"]
+        blob = encoded[0] if encoded else json.dumps(result).encode()
+        return mode, 200, _envelope(endpoint, mode, blob, trace), None
 
     def _store_ranking(self, normalized: dict, result: dict) -> None:
         """Warm the database tier with a freshly computed ranking."""
@@ -889,7 +929,9 @@ class ReproService(Http1Server):
                         and recovery.get("degraded")
                     )
                     if not degraded:
-                        self.response_cache.put(key, result)
+                        self.response_cache.put(
+                            key, json.dumps(result).encode()
+                        )
 
                 try:
                     mode, task = self.dispatcher.dispatch(

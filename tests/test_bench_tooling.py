@@ -129,6 +129,30 @@ def test_committed_baselines_have_no_holes(path):
 
 
 # ----------------------------------------------------------------------
+# the overload storm never repeats a tune
+# ----------------------------------------------------------------------
+def test_overload_storm_sends_each_tune_once():
+    import bench_fabric_load
+
+    storm = bench_fabric_load.storm_payloads()
+    distinct = {json.dumps(p, sort_keys=True) for p in storm}
+    assert len(distinct) == len(storm) == 2 * 566
+    assert list(storm) != list(bench_fabric_load.storm_payloads(seed=1))
+
+
+def test_storm_cache_hits_fail_the_gate():
+    baseline = artifact.load_artifact(
+        BENCHMARKS / "baselines" / "BENCH_fabric_load.json"
+    )
+    current = json.loads(json.dumps(baseline))
+    failures, _ = perf_gate.gate(baseline, current, 0.5)
+    assert not any("overload_storm_cache_hits" in f for f in failures)
+    current["metrics"]["overload_storm_cache_hits"] = 3
+    failures, _ = perf_gate.gate(baseline, current, 0.5)
+    assert any("overload_storm_cache_hits" in f for f in failures)
+
+
+# ----------------------------------------------------------------------
 # trend folding
 # ----------------------------------------------------------------------
 class TestTrend:
