@@ -8,24 +8,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-
-#: Examples that need a package the tree does not have yet.
-_MISSING = {
-    "distributed_scaling.py": "imports repro.dist, which is not in the tree",
-}
+SCRIPTS = sorted((ROOT / "examples").glob("*.py"))
 
 
-def _params():
-    for script in sorted((ROOT / "examples").glob("*.py")):
-        marks = ()
-        if script.name in _MISSING:
-            marks = pytest.mark.xfail(
-                strict=True, reason=_MISSING[script.name]
-            )
-        yield pytest.param(script, id=script.name, marks=marks)
-
-
-@pytest.mark.parametrize("script", _params())
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
 def test_example_runs(script, tmp_path):
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}

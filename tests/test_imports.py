@@ -5,12 +5,20 @@ Every top-level module imported anywhere under ``src``, ``tests``,
 first-party, or declared in ``pyproject.toml`` (a runtime dependency or
 the ``test`` extra).  CI installs exactly those, so an undeclared import
 fails there before any test runs.
+
+Every ``repro.*`` module imported there must also be a file under
+``src/repro``, and in a git checkout a file that git tracks: a package
+that exists only in one working tree (an ignore rule once matched
+``src/repro/dist/``) fails here rather than on the next clean clone.
 """
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "examples", "benchmarks", "perfbench")
@@ -40,25 +48,29 @@ def _first_party() -> set[str]:
 
 
 def _imports():
-    """``(path, top-level module)`` of every absolute import."""
+    """``(path, dotted module name)`` of every absolute import."""
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
-                        yield path, alias.name.partition(".")[0]
+                        yield path, alias.name
                 elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                    yield path, node.module.partition(".")[0]
+                    yield path, node.module
+
+
+def _top(name: str) -> str:
+    return name.partition(".")[0]
 
 
 def test_every_import_is_stdlib_first_party_or_declared():
     allowed = set(sys.stdlib_module_names) | _first_party() | _declared()
     undeclared = sorted(
         {
-            f"{path.relative_to(ROOT)}: {name}"
+            f"{path.relative_to(ROOT)}: {_top(name)}"
             for path, name in _imports()
-            if name not in allowed
+            if _top(name) not in allowed
         }
     )
     assert not undeclared, (
@@ -70,6 +82,60 @@ def test_every_import_is_stdlib_first_party_or_declared():
 def test_the_guard_sees_the_declared_dependencies():
     # The scan must actually find the declared third-party imports;
     # an empty scan would pass the guard vacuously.
-    found = {name for _, name in _imports()}
+    found = {_top(name) for _, name in _imports()}
     assert {"numpy", "pytest", "hypothesis"} <= found
     assert {"numpy", "pytest", "hypothesis"} <= _declared()
+
+
+def _unresolved_repro_modules(has_file) -> list[str]:
+    """``repro.*`` imports for which ``has_file`` accepts no defining file.
+
+    ``has_file`` takes a path relative to the repo root, in POSIX form;
+    a module ``repro.a.b`` is defined by ``src/repro/a/b.py`` or
+    ``src/repro/a/b/__init__.py``.
+    """
+    importers: dict[str, set[str]] = {}
+    for path, name in _imports():
+        if _top(name) == "repro":
+            importers.setdefault(name, set()).add(
+                path.relative_to(ROOT).as_posix()
+            )
+    unresolved = []
+    for name in sorted(importers):
+        base = "src/" + name.replace(".", "/")
+        if not (has_file(base + ".py") or has_file(base + "/__init__.py")):
+            first = sorted(importers[name])
+            more = f" and {len(first) - 1} more" if len(first) > 1 else ""
+            unresolved.append(f"{name} (imported by {first[0]}{more})")
+    return unresolved
+
+
+def test_every_repro_import_resolves_to_a_source_file():
+    missing = _unresolved_repro_modules(lambda rel: (ROOT / rel).is_file())
+    assert not missing, (
+        "repro modules imported but not under src/repro:\n"
+        + "\n".join(missing)
+    )
+
+
+@pytest.mark.skipif(
+    not (ROOT / ".git").exists(),
+    reason="not a git checkout (no .git), so there is no index to check",
+)
+def test_every_repro_import_is_tracked_by_git():
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--", "src/repro"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    tracked = set(listed.split("\0"))
+    untracked = _unresolved_repro_modules(tracked.__contains__)
+    assert not untracked, (
+        "repro modules imported but not tracked by git (ignored or never "
+        "added, so a clean clone lacks them):\n" + "\n".join(untracked)
+    )
+
+
+def test_the_repro_guard_sees_the_repro_imports():
+    # An empty scan would pass both repro guards vacuously.
+    names = {name for _, name in _imports() if _top(name) == "repro"}
+    assert {"repro.dist", "repro.dist.scaling", "repro.engine"} <= names

@@ -1,4 +1,4 @@
-"""Golden values of the quick-mode paper numbers (F1–F7).
+"""Golden values of the quick-mode paper numbers (F1–F7, F11).
 
 The simulator and the analytic model are deterministic, so a refactor
 below the engine must reproduce these numbers to ``rel=1e-9``.  A change
@@ -15,6 +15,7 @@ from repro.experiments import (
     exp_f5_offsite_ranking,
     exp_f6_ode_speedup,
     exp_f7_ablation_lc,
+    exp_f11_distributed,
 )
 
 
@@ -67,3 +68,10 @@ def test_f7_ablation_lc():
     ] == golden(4.874754121501561, 40.861655892469265)
     assert tuple(result["block_full"]) == (32, 16, 48)
     assert tuple(result["block_nolc"]) == (4, 4, 48)
+
+
+def test_f11_distributed():
+    result = exp_f11_distributed.run(quick=True)
+    assert [
+        result["weak_efficiency_min"], result["strong_efficiency_last"]
+    ] == golden(0.9282195469369745, 0.8495038371404081)
