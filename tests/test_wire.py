@@ -28,8 +28,14 @@ from repro.service.background import BackgroundServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.http1 import parse_head
+from repro.service.overload import DEADLINE_HEADER
 
-from tests.test_keepalive import _RouterThread, _exchange, _read_to_eof
+from tests.test_keepalive import (
+    _RouterThread,
+    _exchange,
+    _read_to_eof,
+    _wait_for,
+)
 
 SCALE = 1 / 32
 PREDICT = {"stencil": "3d7pt", "grid": [16, 16, 32], "cache_scale": SCALE}
@@ -165,6 +171,303 @@ def test_response_tier_holds_encoded_results(single):
     assert [r["served"] for r in tail["requests"]] == [
         "response-cache", "fresh",
     ]
+
+
+# ----------------------------------------------------------------------
+# Every POST outcome: status, Retry-After, body, counters, flight row
+# ----------------------------------------------------------------------
+class _Gate:
+    """A job stand-in that holds its worker until released."""
+
+    def __init__(self, job):
+        self.job = job
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, payload):
+        self.entered.set()
+        self.release.wait(timeout=30)
+        return self.job(payload)
+
+
+def _gate(monkeypatch, endpoint: str) -> _Gate:
+    normalize, job = jobs.JOBS[endpoint]
+    gate = _Gate(job)
+    monkeypatch.setitem(jobs.JOBS, endpoint, (normalize, gate))
+    return gate
+
+
+def _send(port: int, path: str, payload, headers=None):
+    """One POST on its own connection: ``(status, Retry-After, body)``."""
+    body = payload if isinstance(payload, bytes) else json.dumps(
+        payload).encode()
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body, {
+            "Content-Type": "application/json", **(headers or {}),
+        })
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("Retry-After"), resp.read()
+    finally:
+        conn.close()
+
+
+def _in_thread(*args):
+    """``_send(*args)`` on a thread; ``(thread, [answer])``."""
+    answer: list = []
+    thread = threading.Thread(target=lambda: answer.append(_send(*args)))
+    thread.start()
+    return thread, answer
+
+
+def _predict(nz: int) -> dict:
+    return dict(PREDICT, grid=[16, 16, nz])
+
+
+def _bad_body(bg, monkeypatch):
+    return _send(bg.port, "/predict", b"[1, 2]")
+
+
+def _fresh(bg, monkeypatch):
+    return _send(bg.port, "/predict", _predict(34))
+
+
+def _traced(bg, monkeypatch):
+    return _send(bg.port, "/predict", dict(_predict(34), trace=True))
+
+
+def _cache_hit(bg, monkeypatch):
+    _send(bg.port, "/predict", _predict(34))
+    return _send(bg.port, "/predict", _predict(34))
+
+
+def _database_hit(bg, monkeypatch):
+    _send(bg.port, "/rank", RANK)
+    bg.service.response_cache.clear()
+    return _send(bg.port, "/rank", RANK)
+
+
+def _near_match(bg, monkeypatch):
+    for nz in (32, 48):
+        _send(bg.port, "/predict", dict(_predict(nz), exact=True))
+    return _send(bg.port, "/predict", _predict(40))
+
+
+def _breaker_open(bg, monkeypatch):
+    bg.service.breakers["/predict"].force_open()
+    return _send(bg.port, "/predict", _predict(34))
+
+
+def _brownout(stage: int, path: str, payload: dict):
+    def drive(bg, monkeypatch):
+        bg.service.ladder.stage = stage
+        return _send(bg.port, path, payload)
+    return drive
+
+
+def _spent_deadline(bg, monkeypatch):
+    return _send(bg.port, "/predict", _predict(34), {DEADLINE_HEADER: "-5"})
+
+
+def _overloaded(bg, monkeypatch):
+    gate = _gate(monkeypatch, "/tune")
+    holder, _ = _in_thread(bg.port, "/tune", TUNE)
+    try:
+        assert gate.entered.wait(timeout=30)
+        return _send(bg.port, "/predict", _predict(34))
+    finally:
+        gate.release.set()
+        holder.join(timeout=30)
+
+
+def _held(headers=None):
+    def drive(bg, monkeypatch):
+        gate = _gate(monkeypatch, "/predict")
+        try:
+            return _send(bg.port, "/predict", _predict(34), headers)
+        finally:
+            gate.release.set()
+    return drive
+
+
+def _swept(bg, monkeypatch):
+    # A deadline-carrying job queues behind a held worker; a waiter
+    # without a deadline joins it.  The job's own caller times out,
+    # the sweep then drops the job at dequeue, and the waiter is told.
+    gate = _gate(monkeypatch, "/tune")
+    holder, _ = _in_thread(bg.port, "/tune", TUNE)
+    try:
+        assert gate.entered.wait(timeout=30)
+        doomed, _ = _in_thread(
+            bg.port, "/predict", _predict(34), {DEADLINE_HEADER: "1000"}
+        )
+        _wait_for(lambda: bg.service.dispatcher.pending == 2,
+                  "the doomed job to queue")
+        waiter, answer = _in_thread(bg.port, "/predict", _predict(34))
+        _wait_for(lambda: bg.service._active_requests == 3,
+                  "the waiter to arrive")
+        doomed.join(timeout=30)
+    finally:
+        gate.release.set()
+        holder.join(timeout=30)
+    waiter.join(timeout=30)
+    return answer[0]
+
+
+def _job_raises(bg, monkeypatch):
+    def boom(payload):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(
+        jobs.JOBS, "/predict", (jobs.normalize_predict, boom)
+    )
+    return _send(bg.port, "/predict", _predict(34))
+
+
+_BROWNOUT = dict(slo_enabled=True, brownout=True, brownout_recover_s=3600.0)
+_NC = ["normalize", "cache"]
+_NCE = ["normalize", "cache", "execute"]
+_PREDICT_SPANS = ["engine.predict", "engine.yasksite", "engine.stencil",
+                  "blocking.select", "ecm.predict", "engine.result"]
+
+
+def _envelope(endpoint: str, served: str, **extra) -> dict:
+    return dict(endpoint=endpoint, served=served, result="<result>", **extra)
+
+
+def _pin(status, body, outcomes, flight, stages, retry_after=None) -> dict:
+    return dict(status=status, retry_after=retry_after, body=body,
+                outcomes=outcomes, flight=flight, stages=stages)
+
+
+#: id -> (config overrides, drive, endpoint, pinned answer).  A pinned
+#: answer holds the status, Retry-After, the body (``<...>`` marks a
+#: masked volatile member; a 200 body's ``result`` is masked whole and
+#: its ``trace`` reduced to the root span's name), the endpoint's
+#: nonzero outcome counters after the drive, the flight row of the
+#: pinned request (outcome, served, queue_class, brownout, stages_ms
+#: keys; ``-`` marks an absent key), and the ``/metrics`` stage counts
+#: after the drive.
+OUTCOMES = {
+    "400": ({}, _bad_body, "/predict", _pin(
+        400, {"error": "payload must be a JSON object"}, {"failed": 1},
+        ("failed", None, "-", "-", ["normalize"]), {"normalize": 1})),
+    "fresh": ({}, _fresh, "/predict", _pin(
+        200, _envelope("/predict", "fresh"), {"fresh": 1},
+        ("fresh", "fresh", "cheap", "-", _NCE), dict.fromkeys(_NCE, 1))),
+    "fresh-traced": ({}, _traced, "/predict", _pin(
+        200, _envelope("/predict", "fresh", trace="request:/predict"),
+        {"fresh": 1},
+        ("fresh", "fresh", "cheap", "-", _NCE + _PREDICT_SPANS),
+        dict.fromkeys(_NCE + _PREDICT_SPANS, 1))),
+    "cache": ({}, _cache_hit, "/predict", _pin(
+        200, _envelope("/predict", "response-cache"),
+        {"fresh": 1, "cache": 1},
+        ("cache", "response-cache", "-", "-", _NC),
+        {"normalize": 2, "cache": 2, "execute": 1})),
+    "database": ({}, _database_hit, "/rank", _pin(
+        200, _envelope("/rank", "database"), {"fresh": 1, "database": 1},
+        ("database", "database", "-", "-", _NC),
+        {"normalize": 2, "cache": 2, "execute": 1})),
+    "approximate": (
+        dict(approx_enabled=True, approx_confidence=0.6), _near_match,
+        "/predict", _pin(
+            200, _envelope("/predict", "approximate", approximate=True,
+                           confidence=0.8333),
+            {"fresh": 2, "approximate": 1},
+            ("approximate", "approximate", "-", "-", _NC),
+            {"normalize": 3, "cache": 3, "execute": 2})),
+    "degraded-breaker": ({}, _breaker_open, "/predict", _pin(
+        200, _envelope("/predict", "degraded", degraded=True),
+        {"degraded": 1}, ("degraded", "degraded", "-", "-", _NCE),
+        dict.fromkeys(_NCE, 1))),
+    "degraded-brownout": (
+        _BROWNOUT, _brownout(2, "/predict", _predict(34)), "/predict", _pin(
+            200, _envelope("/predict", "degraded", degraded=True,
+                           brownout="predict-analytic"),
+            {"degraded": 1},
+            ("degraded", "degraded", "-", "predict-analytic", _NCE),
+            dict.fromkeys(_NCE, 1))),
+    "503-circuit": (
+        dict(degraded_mode=False), _breaker_open, "/predict", _pin(
+            503, {"error": "circuit open", "endpoint": "/predict",
+                  "breaker": {"state": "open", "consecutive_failures": 0,
+                              "failure_threshold": 5, "recovery_s": 30.0,
+                              "times_opened": 1}},
+            {"shed": 1}, ("shed", None, "-", "-", _NC),
+            dict.fromkeys(_NC, 1), retry_after="30")),
+    "503-brownout": (_BROWNOUT, _brownout(3, "/tune", TUNE), "/tune", _pin(
+        503, {"error": "brownout", "stage": "shed-heavy",
+              "endpoint": "/tune"},
+        {"shed": 1}, ("shed", None, "-", "shed-heavy", _NC),
+        dict.fromkeys(_NC, 1), retry_after="3600")),
+    "429-deadline": ({}, _spent_deadline, "/predict", _pin(
+        429, {"error": "deadline too tight", "remaining_ms": "<ms>",
+              "observed_p95_ms": None, "queue_class": "cheap"},
+        {"shed": 1}, ("shed", None, "cheap", "-", _NC),
+        dict.fromkeys(_NC, 1), retry_after="1")),
+    "429-overloaded": (dict(queue_limit=1), _overloaded, "/predict", _pin(
+        429, {"error": "overloaded", "detail": "1 jobs in flight (limit 1)"},
+        {"shed": 1}, ("shed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 2), retry_after="1")),
+    "504-swept": ({}, _swept, "/predict", _pin(
+        504, {"error": "deadline expired in queue"},
+        {"failed": 1, "shed": 1}, ("shed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 3))),
+    "504-timeout": (dict(request_timeout_s=0.2), _held(), "/predict", _pin(
+        504, {"error": "timeout", "timeout_s": 0.2},
+        {"failed": 1}, ("failed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 1))),
+    "504-deadline": ({}, _held({DEADLINE_HEADER: "300"}), "/predict", _pin(
+        504, {"error": "deadline exceeded"},
+        {"failed": 1}, ("failed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 1))),
+    "500": ({}, _job_raises, "/predict", _pin(
+        500, {"error": "RuntimeError: boom"},
+        {"failed": 1}, ("failed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 1))),
+}
+
+_MASKED = {"remaining_ms": "<ms>"}
+
+
+def _pinned_body(status: int, raw: bytes) -> dict:
+    body = json.loads(raw, object_pairs_hook=OrderedDict)
+    for name, mask in _MASKED.items():
+        if name in body:
+            body[name] = mask
+    if status == 200:
+        assert raw == _dict_envelope_bytes(raw)
+        assert isinstance(body["result"], dict)
+        body["result"] = "<result>"
+        if "confidence" in body:
+            body["confidence"] = round(body["confidence"], 4)
+        if "trace" in body:
+            body["trace"] = body["trace"]["name"]
+    return body
+
+
+@pytest.mark.parametrize("case", list(OUTCOMES))
+def test_every_post_outcome_is_pinned(case, monkeypatch):
+    overrides, drive, endpoint, want = OUTCOMES[case]
+    with BackgroundServer(_cfg(**overrides)) as bg:
+        status, retry_after, raw = drive(bg, monkeypatch)
+        metrics = bg.metrics_snapshot()
+        row = bg.service.flight.tail(n=1, endpoint=endpoint)[0]
+    body = _pinned_body(status, raw)
+    counts = metrics["endpoints"][endpoint]["outcomes"]
+    assert (status, retry_after) == (want["status"], want["retry_after"])
+    assert body == want["body"]
+    assert list(body) == list(want["body"])
+    assert {k: v for k, v in counts.items() if v} == want["outcomes"]
+    assert row["status"] == status
+    assert (
+        row["outcome"], row.get("served", "-"), row.get("queue_class", "-"),
+        row.get("brownout", "-"), list(row["stages_ms"]),
+    ) == want["flight"]
+    assert {
+        name: entry["count"] for name, entry in metrics["stages"].items()
+    } == want["stages"]
 
 
 # ----------------------------------------------------------------------
