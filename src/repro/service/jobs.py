@@ -60,7 +60,7 @@ __all__ = [
     "degraded_predict_job",
     "degraded_tune_job",
     "degraded_rank_job",
-    "rank_db_key_parts",
+    "is_degraded",
     "run_traced_job",
 ]
 
@@ -85,15 +85,15 @@ def normalize_rank(payload: dict) -> dict:
     return RankRequest.from_payload(payload).to_payload()
 
 
-def rank_db_key_parts(payload: dict) -> tuple[str, str, str, tuple[int, ...]]:
-    """(method, ivp, machine, grid) identity of a normalized ``/rank``
-    request — the :class:`~repro.offsite.database.TuningKey` fields the
-    warm database tier stores rankings under.
-
-    See :meth:`repro.engine.RankRequest.db_key_parts` for the folding
-    rules.
-    """
-    return RankRequest.from_payload(payload).db_key_parts()
+def is_degraded(result: dict) -> bool:
+    """Whether a job result came from partial work (a partial search
+    after exhausted retries, skipped jobs, a failed validation run):
+    served to the callers that shared the run, but never cached or
+    published as a terminal result."""
+    recovery = result.get("recovery")
+    return bool(result.get("degraded")) or (
+        isinstance(recovery, dict) and bool(recovery.get("degraded"))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +174,7 @@ def _fabric_tune_job(payload: dict) -> dict:
         request, checkpoint=str(ledger.checkpoint_path(job_key))
     )
     result = tune_result_to_dict(default_engine().tune(request))
-    if result.get("recovery", {}).get("degraded"):
+    if is_degraded(result):
         return result  # serve it, but never publish a degraded terminal
     ledger.complete(job_key, owner, result)
     return result

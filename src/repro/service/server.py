@@ -1,15 +1,27 @@
 """The tuning/prediction server: asyncio + stdlib HTTP/1.1, no deps.
 
-Layering of one POST request (``/predict``, ``/tune``, ``/rank``)::
+One POST (``/predict``, ``/tune``, ``/rank``) runs five stages, in
+order; three of them feed the ``/metrics`` ``stages`` timer of the
+same name::
 
-    parse + normalize                 (memoized per body; 400 on bad payload)
-      └─ tier 1: LRU response cache  (identical request already solved;
-                                      holds encoded results)
-          └─ tier 3: tuning database (/rank, validate=false: the warm
-             Offsite store — rankings computed once, then looked up)
-              └─ coalesce            (identical request in flight joins it)
-                  └─ admit + batch   (429 when the bounded queue is full)
-                      └─ worker pool (jobs; tier 2 traffic memo inside)
+    normalize   memoized parse; 400 on a bad payload        [normalize]
+    tier walk   response tier (encoded results), then the   [cache]
+                database tier (/rank, validate=false), then
+                the near-match tier (approximate answers)
+    admit       brownout shed or degrade, the circuit        (untimed)
+                breaker, the queue class, deadline admission
+    execute     the analytic fallback, or: build the job     [execute]
+                payload, coalesce onto an identical in-flight
+                job or admit a fresh one to the class's pool
+                (429 when full; tier 2 traffic memo inside)
+    render      the envelope from the result's encoded bytes;
+                metrics, SLO observation, flight-recorder row
+
+The tier walk runs before admission, so a warm hit is served under
+brownout, with the breaker open, or with a spent deadline.  A traced
+request adds its span aggregates to the stage timers.  A tune the
+idle-shard steal loop adopts from the fabric job ledger enters at the
+execute stage: the tier walk, brownout and breaker are client-facing.
 
 ``GET /healthz`` and ``GET /metrics`` are served inline.  Connections
 are persistent HTTP/1.1 (:mod:`repro.service.http1`): a client sends
@@ -26,11 +38,11 @@ import asyncio
 import functools
 import json
 import time
-from typing import NamedTuple
+from typing import Awaitable, NamedTuple
 from urllib.parse import parse_qs
 
 from repro import faults, obs
-from repro.engine import parse_request
+from repro.engine import RankRequest, parse_request
 from repro.offsite.database import TuningDatabase, TuningKey, TuningRecord
 from repro.service.batching import (
     CoalescingDispatcher,
@@ -45,7 +57,7 @@ from repro.service.overload import BrownoutLadder, deadline_from_headers
 from repro.service.jobs import (
     DEGRADED_JOBS,
     JOBS,
-    rank_db_key_parts,
+    is_degraded,
     run_traced_job,
 )
 from repro.service.metrics import ServiceMetrics
@@ -74,20 +86,6 @@ def _flag(params: dict, name: str) -> bool:
     return value is not None and value.lower() not in ("0", "false")
 
 
-#: The response cache is a plain :class:`~repro.store.tier.LruTier`
-#: from the unified store substrate; the alias keeps the historical
-#: name importable.
-_LruCache = LruTier
-
-
-class _Envelope(NamedTuple):
-    """A rendered response envelope: its ``served`` label (for the
-    flight recorder) and its JSON bytes."""
-
-    served: str
-    body: bytes
-
-
 @functools.lru_cache(maxsize=None)
 def _envelope_head(endpoint: str, served: str) -> bytes:
     return (
@@ -96,17 +94,63 @@ def _envelope_head(endpoint: str, served: str) -> bytes:
     ).encode()
 
 
-def _envelope(
-    endpoint: str, served: str, result: bytes, trace: bytes | None = None
-) -> _Envelope:
-    """The envelope ``json.dumps`` would render for ``{"endpoint",
-    "served", "result"[, "trace"]}``, built from the members' encoded
-    bytes: with default separators a JSON object is the concatenation
-    of its members, so the bytes are identical."""
-    head = _envelope_head(endpoint, served)
-    if trace is None:
-        return _Envelope(served, head + result + b"}")
-    return _Envelope(served, head + result + b', "trace": ' + trace + b"}")
+class _Answer(NamedTuple):
+    """A stage's answer to one POST.  A 200 carries its ``served``
+    label and its result (encoded bytes, or a dict to encode), which
+    the render stage wraps in an envelope; any other status carries its
+    whole JSON document."""
+
+    outcome: str
+    status: int
+    body: bytes | dict
+    served: str | None = None
+    headers: dict[str, str] | None = None
+    trace: dict | None = None
+    extras: tuple = ()
+
+
+def _refuse(
+    outcome: str, status: int, document: dict,
+    retry_after_s: float | None = None,
+) -> _Answer:
+    """A non-200 answer; ``retry_after_s`` adds a ``Retry-After`` of
+    whole seconds, rounded up, at least one."""
+    headers = None
+    if retry_after_s is not None:
+        headers = {"Retry-After": str(max(1, int(retry_after_s + 0.999)))}
+    return _Answer(outcome, status, document, headers=headers)
+
+
+def _failure(exc: Exception) -> _Answer:
+    """The 500 answer to a job that raised."""
+    return _refuse("failed", 500, {"error": f"{type(exc).__name__}: {exc}"})
+
+
+class _Post:
+    """One POST on its way through the stages.  An adopted tune enters
+    at the execute stage with only ``key``, ``payload`` and
+    ``job_class`` set."""
+
+    __slots__ = ("endpoint", "deadline", "parsed", "key", "payload",
+                 "job_class", "brownout", "encoded", "note", "stages")
+
+    def __init__(
+        self,
+        endpoint: str,
+        deadline: float | None = None,
+        key: str | None = None,
+        payload: dict | None = None,
+    ) -> None:
+        self.endpoint = endpoint
+        self.deadline = deadline  # absolute epoch, propagated by the caller
+        self.parsed = None
+        self.key = key
+        self.payload = payload  # the normalized request
+        self.job_class: str | None = None  # None: the analytic fallback
+        self.brownout = False  # the ladder chose the fallback
+        self.encoded: bytes | None = None  # set by the completion hook
+        self.note: dict = {}  # flight-recorder attribution
+        self.stages: dict[str, float] = {}
 
 
 class ReproService(Http1Server):
@@ -281,9 +325,7 @@ class ReproService(Http1Server):
                 return json_response(
                     405, {"error": f"{path} requires POST"}
                 )
-            return await self._handle_job(
-                path, request.body, request.headers
-            )
+            return await self._serve_post(path, request)
         return json_response(404, {"error": f"no route {path}"})
 
     def _flight_document(self, params: dict) -> dict:
@@ -324,501 +366,370 @@ class ReproService(Http1Server):
             alerts=list(entry.get("alerts") or ()),
         )
 
-    # -- the tiered job path --------------------------------------------
-    async def _handle_job(
-        self,
-        endpoint: str,
-        body: bytes,
-        req_headers: dict[str, str] | None = None,
-    ) -> Response:
+    # -- the request pipeline --------------------------------------------
+    async def _serve_post(self, endpoint: str, request: Request) -> Response:
+        """Run one POST through the five stages (module docstring)."""
         t0 = time.perf_counter()
-        stages: dict[str, float] = {}
-        note: dict = {}
-        deadline_epoch = deadline_from_headers(req_headers)
+        post = _Post(endpoint, deadline_from_headers(request.headers))
         if self.ladder is not None:
             self.ladder.evaluate()
-        outcome, status, document, headers = await self._process_job(
-            endpoint, body, stages, note, deadline_epoch
-        )
-        if isinstance(document, _Envelope):
-            served, response = document
+        stages = post.stages
+        t = time.perf_counter()
+        answer = self._normalize(post, request.body)
+        stages["normalize"] = time.perf_counter() - t
+        if answer is None:
+            t = time.perf_counter()
+            answer = self._tier_walk(post)
+            stages["cache"] = time.perf_counter() - t
+        if answer is None:
+            answer = self._admit(post)
+        if answer is None:
+            t = time.perf_counter()
+            answer = await self._execute(post)
+            stages["execute"] = time.perf_counter() - t
+        return self._render(post, answer, t0)
+
+    def _normalize(self, post: _Post, body: bytes) -> _Answer | None:
+        """Parse once, memoized per body and shared with the router.
+
+        The hints ``trace``, ``predictor`` and ``exact`` stay outside
+        the canonical payload, so they never fork the cache or
+        coalescing identity.  That is sound for the predictor only
+        because normalization rejects ``predictor="lc"`` for ``/tune``:
+        the admitted modes produce bit-identical reports.
+        """
+        parsed = parse_request(post.endpoint, body)
+        if parsed.error is not None:
+            return _refuse("failed", 400, {"error": parsed.error})
+        post.parsed = parsed
+        return None
+
+    def _tier_walk(self, post: _Post) -> _Answer | None:
+        """The response tier, the database tier, the near-match tier.
+
+        The tiers' own ledgers are attached to ``/metrics``, so a
+        lookup needs no bookkeeping here.  The near-match tier answers
+        from stored exact observations of the same request family at a
+        nearby grid, unless the client sent ``"exact": true``; it
+        declines below the configured confidence, which brownout stage
+        1 and up may only loosen.  Its answers never enter an exact
+        tier.
+        """
+        parsed = post.parsed
+        post.key = parsed.key
+        cached = self.response_cache.get(post.key)
+        if cached is not None:
+            return _Answer("cache", 200, cached, "response-cache")
+        post.payload = parsed.payload()
+        if post.endpoint == "/rank" and not post.payload["validate"]:
+            record = self.database_tier.get(
+                TuningKey(*parsed.request.db_key_parts())
+            )
+            if record is not None:
+                return _Answer(
+                    "database", 200, tuning_record_to_dict(record), "database"
+                )
+        if self.approx_tier is not None and not parsed.exact:
+            min_confidence = self.config.approx_confidence
+            if self.ladder is not None and self.ladder.stage >= 1:
+                min_confidence = min(
+                    min_confidence, self.config.brownout_approx_confidence
+                )
+            served = self.approx_tier.lookup(
+                post.endpoint, post.payload, min_confidence
+            )
+            if served is not None:
+                result, confidence = served
+                return _Answer(
+                    "approximate", 200, result, "approximate",
+                    extras=(("approximate", True), ("confidence", confidence)),
+                )
+        return None
+
+    def _admit(self, post: _Post) -> _Answer | None:
+        """Refuse, or set ``post.job_class`` (``None``: the fallback).
+
+        Brownout first: heavy endpoints shed at stage 3, ``/predict``
+        takes the analytic fallback at stage 2 and sheds at stage 4.
+        Then the circuit breaker: a backend that keeps failing fresh
+        jobs is taken out of rotation, answered by the fallback in
+        degraded mode and refused with 503 otherwise.  Then the queue
+        class, and deadline admission: a budget that cannot cover the
+        class's observed p95 gets a fast 429 instead of a queued job
+        its caller will have abandoned.
+        """
+        endpoint = post.endpoint
+        stage = 0 if self.ladder is None else self.ladder.stage
+        if stage >= (3 if endpoint in ("/tune", "/rank") else 4):
+            post.note["brownout"] = self.ladder.state
+            return _refuse("shed", 503, {
+                "error": "brownout",
+                "stage": self.ladder.state,
+                "endpoint": endpoint,
+            }, self.config.brownout_recover_s)
+        if stage >= 2 and endpoint == "/predict":
+            post.brownout = True
+            return None
+        breaker = self.breakers[endpoint]
+        if not breaker.allow():
+            if self.config.degraded_mode:
+                return None
+            return _refuse("shed", 503, {
+                "error": "circuit open",
+                "endpoint": endpoint,
+                "breaker": breaker.snapshot(),
+            }, breaker.retry_after_s())
+        job_class = post.job_class = self._job_class(endpoint, post.payload)
+        post.note["queue_class"] = job_class
+        if post.deadline is None:
+            return None
+        remaining_s = post.deadline - time.time()
+        p95 = self.dispatcher.observed_p95_s(job_class)
+        if remaining_s > 0 and (p95 is None or remaining_s >= p95):
+            return None
+        breaker.release_probe()  # no work ran
+        remaining_ms = round(remaining_s * 1e3, 3)
+        post.note["deadline_remaining_ms"] = remaining_ms
+        return _refuse("shed", 429, {
+            "error": "deadline too tight",
+            "remaining_ms": remaining_ms,
+            "observed_p95_ms": None if p95 is None else round(p95 * 1e3, 3),
+            "queue_class": job_class,
+        }, (p95 or 0.0) - max(0.0, remaining_s))
+
+    def _job_class(self, endpoint: str, payload: dict) -> str:
+        """The queue class a job runs under: priced by
+        :func:`~repro.service.cost.classify` under cost routing, else
+        ``"cheap"`` (the single queue and its ``request_timeout_s``)."""
+        if not self.config.cost_routing:
+            return "cheap"
+        return classify(endpoint, payload, self.config.cost_threshold_s)[0]
+
+    async def _execute(self, post: _Post) -> _Answer:
+        """Run the analytic fallback, or the job on its class's pool.
+
+        Only the request that dispatched fresh work reports to the
+        breaker (coalesced waiters would multiply one failure into N
+        strikes); every other exit hands a granted probe back.  The
+        caller's deadline tightens the wait, never widens it.
+        """
+        if post.job_class is None:
+            return await self._fallback(post)
+        breaker = self.breakers[post.endpoint]
+        try:
+            mode, task = self._dispatch(post)
+        except Overloaded as exc:
+            breaker.release_probe()
+            return _refuse(
+                "shed", 429, {"error": "overloaded", "detail": str(exc)}, 0.0
+            )
+        if mode != "fresh":
+            breaker.release_probe()
+        timeout_s = self.config.class_timeout_s(post.job_class)
+        wait_s = timeout_s
+        if post.deadline is not None:
+            wait_s = min(timeout_s, max(0.0, post.deadline - time.time()))
+        verdict = None  # fresh work's word on the backend
+        try:
+            result = await asyncio.wait_for(asyncio.shield(task), wait_s)
+        except DeadlineSwept:  # dropped at dequeue: the backend never ran
+            answer = _refuse(
+                "shed", 504, {"error": "deadline expired in queue"}
+            )
+        except asyncio.TimeoutError:
+            if wait_s < timeout_s:  # the caller's budget, not the backend
+                answer = _refuse("failed", 504, {"error": "deadline exceeded"})
+            else:
+                verdict = False
+                answer = _refuse(
+                    "failed", 504, {"error": "timeout", "timeout_s": timeout_s}
+                )
+        except Exception as exc:  # the job blew up in the worker
+            verdict = False
+            answer = _failure(exc)
         else:
-            served = document.get("served")
-            response = json.dumps(document).encode()
+            verdict = True
+            trace = None
+            if post.parsed.trace:
+                trace, result = result["trace"], result["result"]
+            answer = _Answer(
+                mode, 200, post.encoded or result, mode, trace=trace
+            )
+        if verdict is None:
+            breaker.release_probe()
+        elif mode == "fresh":
+            if verdict:
+                breaker.record_success()
+            else:
+                breaker.record_failure()
+        return answer
+
+    async def _fallback(self, post: _Post) -> _Answer:
+        """The one analytic fallback: ECM-only on the loop's thread
+        executor, so the pool is never touched; marked degraded and
+        never cached, so a recovered backend answers for real again."""
+        try:
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, DEGRADED_JOBS[post.endpoint], post.payload
+            )
+        except Exception as exc:
+            return _failure(exc)
+        extras: tuple = (("degraded", True),)
+        if post.brownout:
+            state = post.note["brownout"] = self.ladder.state
+            extras += (("brownout", state),)
+        return _Answer("degraded", 200, result, "degraded", extras=extras)
+
+    def _dispatch(self, post: _Post) -> tuple[str, Awaitable[dict]]:
+        """Coalesce onto an identical in-flight job or admit a fresh one
+        (raises :class:`Overloaded`); returns ``(mode, task)``.
+
+        A traced request runs its job under an obs trace inside the
+        worker, dispatched under a derived key so its ``{"result",
+        "trace"}`` never reaches an untraced waiter.
+        """
+        traced = post.parsed is not None and post.parsed.trace
+
+        def on_result(result: dict) -> None:
+            post.encoded = self._complete(
+                post, result["result"] if traced else result
+            )
+
+        if traced:
+            key = post.key + "#trace"
+            job = functools.partial(run_traced_job, post.endpoint)
+        else:
+            key, job = post.key, JOBS[post.endpoint][1]
+        return self.dispatcher.dispatch(
+            key, job, self._job_payload(post), on_result=on_result,
+            job_class=post.job_class, deadline_epoch=post.deadline,
+        )
+
+    def _job_payload(self, post: _Post) -> dict:
+        """The payload a job runs on.
+
+        A ``/tune`` gains execution-only keys that its identity
+        excludes (normalization strips unknown keys, so no client can
+        plant them): the deadline past which its tuner starts no
+        variant, the predictor hint, and in fabric mode the job-ledger
+        keys that let a peer shard adopt it if this process dies.
+        """
+        if post.endpoint != "/tune":
+            return post.payload
+        payload = dict(post.payload)
+        deadline = time.time() + self.config.class_timeout_s(post.job_class)
+        if post.deadline is not None:
+            deadline = min(deadline, post.deadline)
+        payload["deadline"] = deadline
+        if post.parsed is not None and post.parsed.predictor is not None:
+            payload["predictor"] = post.parsed.predictor
+        if self.config.job_dir:
+            payload["job_dir"] = self.config.job_dir
+            payload["job_key"] = post.key
+            payload["lease_ttl_s"] = self.config.lease_ttl_s
+        return payload
+
+    def _complete(self, post: _Post, result: dict) -> bytes:
+        """The completion hook: runs before the key leaves the in-flight
+        map, so an identical late arrival can never re-execute.
+
+        Encodes the result once, for the response tier and the
+        dispatching request.  A degraded result is served to the
+        waiters that shared the run but never cached: an identical
+        later request deserves a clean recomputation.  Exact results
+        also become near-match support.
+        """
+        encoded = json.dumps(result).encode()
+        if not is_degraded(result):
+            self.response_cache.put(post.key, encoded)
+            if self.approx_tier is not None:
+                try:
+                    self.approx_tier.observe(
+                        post.endpoint, post.payload, result
+                    )
+                except Exception:
+                    pass  # advisory tier: never fail the request
+        ledger = result.get("traffic_cache")
+        if isinstance(ledger, dict):
+            for tier, prefix in (
+                ("traffic", ""),
+                ("traffic-memory", "memory_"),
+                ("traffic-disk", "disk_"),
+            ):
+                self.metrics.record_tier(
+                    tier,
+                    hits=int(ledger.get(prefix + "hits", 0)),
+                    misses=int(ledger.get(prefix + "misses", 0)),
+                )
+            self.metrics.record_predictor(
+                lc_served=int(ledger.get("lc_served", 0)),
+                sim_served=int(ledger.get("sim_served", 0)),
+                lc_validation_mismatch=int(
+                    ledger.get("lc_validation_mismatch", 0)
+                ),
+            )
+        if post.endpoint == "/rank":
+            try:
+                self._store_ranking(post.parsed.request, result)
+            except Exception:
+                # The job already succeeded: a warm-tier failure must
+                # not turn that into a 500 for every coalesced waiter.
+                pass
+        return encoded
+
+    def _render(self, post: _Post, answer: _Answer, t0: float) -> Response:
+        """Encode the answer and record it.
+
+        A 200 is an envelope built from the result's encoded bytes:
+        with default separators a JSON object is the concatenation of
+        its members, so the bytes equal ``json.dumps`` of the envelope
+        dict.  Members after ``result``: ``trace`` (traced requests;
+        ``null`` unless the job ran traced), then the answer's extras
+        (``degraded``, ``brownout``, ``approximate``, ``confidence``).
+        """
+        stages = post.stages
+        body = answer.body
+        if not isinstance(body, bytes):
+            body = json.dumps(body).encode()
+        if answer.served is not None:
+            members = [_envelope_head(post.endpoint, answer.served), body]
+            if post.parsed.trace:
+                if answer.trace is not None:
+                    obs.fold_stage_seconds(answer.trace, stages)
+                members += (b', "trace": ', json.dumps(answer.trace).encode())
+            for name, value in answer.extras:
+                members.append(f', "{name}": {json.dumps(value)}'.encode())
+            members.append(b"}")
+            body = b"".join(members)
+        self.metrics.record_stages(stages)
         elapsed = time.perf_counter() - t0
         # Count the request *before* the response leaves, so a client
         # that reads /metrics right after a reply sees it included.
-        self.metrics.record_request(endpoint, outcome, elapsed)
+        self.metrics.record_request(post.endpoint, answer.outcome, elapsed)
         if self.slo is not None:
-            self.slo.observe(endpoint, outcome, elapsed)
+            self.slo.observe(post.endpoint, answer.outcome, elapsed)
         self.flight.record(
-            endpoint=endpoint,
-            outcome=outcome,
-            status=status,
+            endpoint=post.endpoint,
+            outcome=answer.outcome,
+            status=answer.status,
             shard=self.config.shard_id,
             latency_ms=round(elapsed * 1e3, 3),
-            served=served,
-            **note,
+            served=answer.served,
+            **post.note,
             stages_ms={
                 name: round(seconds * 1e3, 3)
                 for name, seconds in stages.items()
             },
         )
-        return Response(status, response, headers)
+        return Response(answer.status, body, answer.headers)
 
-    async def _process_job(
-        self,
-        endpoint: str,
-        body: bytes,
-        stages: dict[str, float] | None = None,
-        note: dict | None = None,
-        deadline_epoch: float | None = None,
-    ) -> tuple[str, int, dict | _Envelope, dict[str, str] | None]:
-        """Resolve one POST through the cache tiers and the pool.
-
-        Returns ``(outcome, http_status, response, extra_headers)``; the
-        response is a JSON document, or an envelope already rendered
-        from the response tier's encoded bytes.
-        Stage wall times (normalize/cache/execute, plus span aggregates
-        for traced requests) are folded into ``/metrics`` on every exit
-        path with one batched call; ``note`` collects flight-recorder
-        attribution (queue class) along the way.
-        """
-        if stages is None:
-            stages = {}
-        try:
-            return await self._process_job_stages(
-                endpoint, body, stages,
-                note if note is not None else {}, deadline_epoch,
-            )
-        finally:
-            self.metrics.record_stages(stages)
-
-    async def _process_job_stages(
-        self,
-        endpoint: str,
-        body: bytes,
-        stages: dict[str, float],
-        note: dict,
-        deadline_epoch: float | None = None,
-    ) -> tuple[str, int, dict | _Envelope, dict[str, str] | None]:
-        job = JOBS[endpoint][1]
-        # One memoized parse (shared with the fabric router): a repeated
-        # body costs one dictionary lookup here.  The trace flag rides
-        # outside the normalized payload: traced and untraced requests
-        # share one cache/coalescing identity, so tracing can never
-        # fork the response space.  The predictor hint works the same
-        # way — validated during normalization but excluded from the
-        # canonical payload.  That sharing is sound only because
-        # normalization rejects predictor="lc" for /tune (see
-        # TuneRequest): the admitted modes ("auto"/"simulate") produce
-        # bit-identical reports, so a response computed under one
-        # serves them all.  "exact": true opts this request out of the
-        # near-match approximate tier; like trace/predictor it is
-        # execution-only (exact and approximable requests are both
-        # satisfied by the exact answer; only the serving path differs).
-        t_stage = time.perf_counter()
-        parsed = parse_request(endpoint, body)
-        stages["normalize"] = time.perf_counter() - t_stage
-        if parsed.error is not None:
-            return "failed", 400, {"error": parsed.error}, None
-        want_trace = parsed.trace
-        key = parsed.key
-
-        def envelope(
-            served: str, result: dict, trace: dict | None = None
-        ) -> dict:
-            env = {"endpoint": endpoint, "served": served, "result": result}
-            if want_trace:
-                env["trace"] = trace
-            return env
-
-        async def degraded() -> tuple[str, int, dict, None]:
-            # The one analytic fallback (brownout stage 2 and an open
-            # breaker): ECM-only on the loop's thread executor, so the
-            # pool is never touched; marked degraded, never cached.
-            t_stage = time.perf_counter()
-            try:
-                result = await asyncio.get_running_loop().run_in_executor(
-                    None, DEGRADED_JOBS[endpoint], normalized
-                )
-            except Exception as exc:
-                return (
-                    "failed",
-                    500,
-                    {"error": f"{type(exc).__name__}: {exc}"},
-                    None,
-                )
-            finally:
-                stages["execute"] = time.perf_counter() - t_stage
-            env = envelope("degraded", result)
-            env["degraded"] = True
-            return "degraded", 200, env, None
-
-        t_stage = time.perf_counter()
-        # Tier 1: in-process response LRU of encoded results (its own
-        # ledger is attached to /metrics — no per-request bookkeeping
-        # here).
-        cached = self.response_cache.get(key)
-        if cached is not None:
-            stages["cache"] = time.perf_counter() - t_stage
-            return "cache", 200, _envelope(
-                endpoint, "response-cache", cached,
-                b"null" if want_trace else None,
-            ), None
-        normalized = parsed.payload()
-
-        # Tier 3: the warm Offsite tuning database (/rank lookups;
-        # validated rankings always recompute measurements).
-        if endpoint == "/rank" and not normalized["validate"]:
-            method, ivp, machine, grid = rank_db_key_parts(normalized)
-            record = self.database_tier.get(
-                TuningKey(method, ivp, machine, grid)
-            )
-            if record is not None:
-                stages["cache"] = time.perf_counter() - t_stage
-                return (
-                    "database",
-                    200,
-                    envelope("database", tuning_record_to_dict(record)),
-                    None,
-                )
-
-        # Near-match approximate tier: an interpolated answer from
-        # stored exact observations of the same request family with a
-        # nearby grid.  Never consulted when the client sent
-        # ``"exact": true``; declines (falls through to exact work)
-        # below the configured confidence.  The answer is served but
-        # NEVER written into any exact tier.
-        brownout_stage = 0 if self.ladder is None else self.ladder.stage
-        if self.approx_tier is not None and not parsed.exact:
-            # Brownout stage 1+ widens acceptance: a lower-confidence
-            # interpolation beats queueing on a saturated pool.  The
-            # bar only ever *loosens* — a brownout confidence above the
-            # configured one is clamped.
-            min_confidence = self.config.approx_confidence
-            if brownout_stage >= 1:
-                min_confidence = min(
-                    min_confidence, self.config.brownout_approx_confidence
-                )
-            served = self.approx_tier.lookup(
-                endpoint, normalized, min_confidence
-            )
-            if served is not None:
-                result, confidence = served
-                stages["cache"] = time.perf_counter() - t_stage
-                env = envelope("approximate", result)
-                env["approximate"] = True
-                env["confidence"] = confidence
-                return "approximate", 200, env, None
-        stages["cache"] = time.perf_counter() - t_stage
-
-        # Brownout shedding and analytic serving: the ladder degrades
-        # *after* the cache tiers (a warm hit costs microseconds and
-        # stays exact) but before any pool work.  Heavy endpoints shed
-        # first (stage 3); /predict switches to the analytic fallback
-        # at stage 2 and is only refused at full shed (stage 4).
-        if brownout_stage >= (3 if endpoint in ("/tune", "/rank") else 4):
-            retry_after = max(
-                1, int(self.config.brownout_recover_s + 0.999)
-            )
-            note["brownout"] = self.ladder.state
-            return (
-                "shed",
-                503,
-                {
-                    "error": "brownout",
-                    "stage": self.ladder.state,
-                    "endpoint": endpoint,
-                },
-                {"Retry-After": str(retry_after)},
-            )
-        if brownout_stage >= 2 and endpoint == "/predict":
-            outcome = await degraded()
-            if outcome[0] == "degraded":
-                note["brownout"] = self.ladder.state
-                outcome[2]["brownout"] = self.ladder.state
-            return outcome
-
-        # Circuit breaker: a backend that keeps failing fresh jobs is
-        # taken out of rotation.  With degraded_mode the request is
-        # answered analytically on the loop's thread executor (the
-        # suspect pool is never touched) and marked degraded — the
-        # response is NOT cached, so a recovered backend serves real
-        # answers again immediately.  Without degraded_mode the
-        # request is refused with 503 + Retry-After.
-        breaker = self.breakers[endpoint]
-        if not breaker.allow():
-            if not self.config.degraded_mode:
-                retry_after = max(1, int(breaker.retry_after_s() + 0.999))
-                return (
-                    "shed",
-                    503,
-                    {
-                        "error": "circuit open",
-                        "endpoint": endpoint,
-                        "breaker": breaker.snapshot(),
-                    },
-                    {"Retry-After": str(retry_after)},
-                )
-            return await degraded()
-
-        # Cost-aware admission: price the job analytically and route it
-        # to its queue class.  With routing off everything is "cheap"
-        # under the legacy queue_limit/request_timeout_s, so behavior
-        # is identical to the single-queue server.
-        job_class = "cheap"
-        if self.config.cost_routing:
-            job_class, _est = classify(
-                endpoint, normalized, self.config.cost_threshold_s
-            )
-        note["queue_class"] = job_class
-        timeout_s = self.config.class_timeout_s(job_class)
-
-        # Deadline admission: a request whose remaining budget cannot
-        # plausibly cover this class's observed p95 is refused *now*
-        # with a fast 429 instead of queueing work its caller will
-        # have abandoned by completion.  Needs the class (for the p95),
-        # so it runs after classify; the breaker probe this request may
-        # hold is handed back — no fresh work ran.
-        if deadline_epoch is not None:
-            remaining_s = deadline_epoch - time.time()
-            observed_p95 = self.dispatcher.observed_p95_s(job_class)
-            if remaining_s <= 0 or (
-                observed_p95 is not None and remaining_s < observed_p95
-            ):
-                breaker.release_probe()
-                note["deadline_remaining_ms"] = round(remaining_s * 1e3, 3)
-                retry_after = max(
-                    1,
-                    int((observed_p95 or 0.0) - max(0.0, remaining_s) + 0.999),
-                )
-                return (
-                    "shed",
-                    429,
-                    {
-                        "error": "deadline too tight",
-                        "remaining_ms": round(remaining_s * 1e3, 3),
-                        "observed_p95_ms": (
-                            round(observed_p95 * 1e3, 3)
-                            if observed_p95 is not None
-                            else None
-                        ),
-                        "queue_class": job_class,
-                    },
-                    {"Retry-After": str(retry_after)},
-                )
-
-        # The job payload may carry execution-only hints the request
-        # identity must exclude: /tune gets the per-request deadline so
-        # the tuner inside the worker stops starting variants the
-        # server would time out on anyway.  Injected AFTER ``key`` is
-        # computed, so caching/coalescing identity is unchanged.
-        job_payload = normalized
-        if endpoint == "/tune":
-            job_payload = dict(normalized)
-            job_payload["deadline"] = time.time() + timeout_s
-            if deadline_epoch is not None:
-                # The caller's propagated budget tightens the tuner's
-                # own deadline: sweeps checkpoint-and-yield instead of
-                # burning a dead caller's budget.
-                job_payload["deadline"] = min(
-                    job_payload["deadline"], deadline_epoch
-                )
-            if parsed.predictor is not None:
-                job_payload["predictor"] = parsed.predictor
-            if self.config.job_dir:
-                # Fabric mode: run the tune through the shared job
-                # ledger (enqueue + lease + checkpoint + publish) so a
-                # peer shard can adopt it if this process dies.  These
-                # keys are execution-only like the deadline above — a
-                # remote client can never plant them, normalization
-                # strips unknown keys before ``key`` is computed.
-                job_payload["job_dir"] = self.config.job_dir
-                job_payload["job_key"] = key
-                job_payload["lease_ttl_s"] = self.config.lease_ttl_s
-
-        # Coalesce + admit + batch onto the pool.  The completion hook
-        # fills the caches before the in-flight key is released, so
-        # identical late arrivals can never re-execute.  It encodes the
-        # result once, for the response tier and for this request's
-        # response; coalesced waiters encode their own.
-        encoded: list[bytes] = []
-
-        def on_result(result: dict) -> None:
-            encoded.append(json.dumps(result).encode())
-            # Degraded results (partial searches after exhausted retries,
-            # skipped jobs, or a failed validation run) are served to the
-            # waiters that shared the in-flight run but never pinned in
-            # the response cache: an identical later request deserves a
-            # clean recomputation, not somebody else's degraded answer.
-            recovery = result.get("recovery")
-            degraded = bool(result.get("degraded")) or (
-                isinstance(recovery, dict) and recovery.get("degraded")
-            )
-            if not degraded:
-                self.response_cache.put(key, encoded[0])
-                # Exact, non-degraded results become interpolation
-                # support for the near-match tier.  Approximate answers
-                # never reach this hook (they are served before
-                # dispatch), so the support set stays exact-only.
-                if self.approx_tier is not None:
-                    try:
-                        self.approx_tier.observe(endpoint, normalized, result)
-                    except Exception:
-                        pass  # advisory tier: never fail the request
-            ledger = result.get("traffic_cache")
-            if isinstance(ledger, dict):
-                self.metrics.record_tier(
-                    "traffic",
-                    hits=int(ledger.get("hits", 0)),
-                    misses=int(ledger.get("misses", 0)),
-                )
-                # Per-store-tier split of the same lookups (memory LRU
-                # over the optional disk tier inside the workers).
-                self.metrics.record_tier(
-                    "traffic-memory",
-                    hits=int(ledger.get("memory_hits", 0)),
-                    misses=int(ledger.get("memory_misses", 0)),
-                )
-                self.metrics.record_tier(
-                    "traffic-disk",
-                    hits=int(ledger.get("disk_hits", 0)),
-                    misses=int(ledger.get("disk_misses", 0)),
-                )
-                self.metrics.record_predictor(
-                    lc_served=int(ledger.get("lc_served", 0)),
-                    sim_served=int(ledger.get("sim_served", 0)),
-                    lc_validation_mismatch=int(
-                        ledger.get("lc_validation_mismatch", 0)
-                    ),
-                )
-            if endpoint == "/rank":
-                try:
-                    self._store_ranking(normalized, result)
-                except Exception:
-                    # Warm-tier bookkeeping runs after the job already
-                    # succeeded; any failure here (unexpected result
-                    # shape, persistence error) must not turn that
-                    # success into a 500 for every coalesced waiter.
-                    pass
-
-        if want_trace:
-            # The traced wrapper runs the job under an obs trace inside
-            # the worker and returns {"result", "trace"}.  It dispatches
-            # under a derived key so a traced run never hands its
-            # envelope to untraced coalesced waiters; on_result unwraps
-            # before filling the caches, keeping cached bytes identical
-            # to untraced responses.
-            dispatch_key = key + "#trace"
-            dispatch_job = functools.partial(run_traced_job, endpoint)
-
-            def on_wrapped(wrapped: dict) -> None:
-                on_result(wrapped["result"])
-
-            dispatch_hook = on_wrapped
-        else:
-            dispatch_key, dispatch_job, dispatch_hook = key, job, on_result
-
-        t_stage = time.perf_counter()
-        try:
-            mode, task = self.dispatcher.dispatch(
-                dispatch_key, dispatch_job, job_payload,
-                on_result=dispatch_hook, job_class=job_class,
-                deadline_epoch=deadline_epoch,
-            )
-        except Overloaded as exc:
-            breaker.release_probe()
-            stages["execute"] = time.perf_counter() - t_stage
-            return (
-                "shed",
-                429,
-                {"error": "overloaded", "detail": str(exc)},
-                {"Retry-After": "1"},
-            )
-        # Only the request that actually dispatched fresh work reports
-        # to the breaker — coalesced waiters would multiply one backend
-        # failure into N breaker strikes.  A granted half-open probe
-        # that didn't run fresh work is handed back instead.
-        if mode != "fresh":
-            breaker.release_probe()
-        # The propagated deadline tightens (never widens) the wait: a
-        # caller that gives up sooner than the class timeout gets its
-        # 504 at the moment its budget dies.
-        effective_timeout = timeout_s
-        if deadline_epoch is not None:
-            effective_timeout = min(
-                timeout_s, max(0.0, deadline_epoch - time.time())
-            )
-        try:
-            result = await asyncio.wait_for(
-                asyncio.shield(task), effective_timeout
-            )
-        except DeadlineSwept:
-            # The queue sweeper dropped the job before execution: the
-            # caller's deadline died while waiting.  The backend never
-            # ran, so this is not a breaker strike; a granted half-open
-            # probe is handed back.
-            breaker.release_probe()
-            return (
-                "shed",
-                504,
-                {"error": "deadline expired in queue"},
-                None,
-            )
-        except asyncio.TimeoutError:
-            if effective_timeout < timeout_s:
-                # Deadline-driven, not a slow backend: the job may well
-                # finish for its coalesced waiters — no breaker strike,
-                # and any held probe is handed back.
-                breaker.release_probe()
-                return (
-                    "failed",
-                    504,
-                    {"error": "deadline exceeded"},
-                    None,
-                )
-            if mode == "fresh":
-                breaker.record_failure()
-            return (
-                "failed",
-                504,
-                {
-                    "error": "timeout",
-                    "timeout_s": timeout_s,
-                },
-                None,
-            )
-        except Exception as exc:  # job blew up in the worker
-            if mode == "fresh":
-                breaker.record_failure()
-            return (
-                "failed",
-                500,
-                {"error": f"{type(exc).__name__}: {exc}"},
-                None,
-            )
-        finally:
-            stages["execute"] = time.perf_counter() - t_stage
-        if mode == "fresh":
-            breaker.record_success()
-        trace = None
-        if want_trace:
-            obs.fold_stage_seconds(result["trace"], stages)
-            trace = json.dumps(result["trace"]).encode()
-            result = result["result"]
-        blob = encoded[0] if encoded else json.dumps(result).encode()
-        return mode, 200, _envelope(endpoint, mode, blob, trace), None
-
-    def _store_ranking(self, normalized: dict, result: dict) -> None:
+    def _store_ranking(self, request: RankRequest, result: dict) -> None:
         """Warm the database tier with a freshly computed ranking."""
-        method, ivp, machine, grid = rank_db_key_parts(normalized)
-        block = normalized["block"]
-        if isinstance(block, list):
-            block = tuple(block)
-        elif block == "auto":
+        method, ivp, machine, grid = request.db_key_parts()
+        block = request.block
+        if block == "auto":
             block = (0,) * len(grid)  # sentinel: per-kernel analytic choice
-        else:
+        elif block is None:
             block = grid
         self.database_tier.put(
             TuningRecord(
@@ -885,18 +796,17 @@ class ReproService(Http1Server):
 
         Every ``steal_interval_s`` an idle shard (no pending dispatcher
         work) scans ``job_dir`` for jobs whose lease is absent, expired
-        or held by a dead pid, and runs them through the normal
-        dispatcher path.  The job body re-claims the lease itself (the
-        scan is advisory — a peer may win the race, in which case the
-        body polls for the published result instead of recomputing).
-        Adopted runs resume from the dead owner's checkpoint, and their
-        results warm this shard's response cache so a rerouted client
-        retry is a cache hit.
+        or held by a dead pid, and runs each through the execute stage
+        under its own queue class.  The job body re-claims the lease
+        itself (the scan is advisory — a peer may win the race, in
+        which case the body polls for the published result instead of
+        recomputing).  Adopted runs resume from the dead owner's
+        checkpoint, and their results warm this shard's tiers so a
+        rerouted client retry is a cache hit.
         """
         from repro.autotune.jobs import JobLedger
 
         ledger = JobLedger(self.config.job_dir)
-        job = JOBS["/tune"][1]
         loop = asyncio.get_running_loop()
         while not self.draining:
             await asyncio.sleep(self.config.steal_interval_s)
@@ -914,29 +824,10 @@ class ReproService(Http1Server):
                 payload = record.get("payload")
                 if not isinstance(key, str) or not isinstance(payload, dict):
                     continue
-                job_payload = dict(payload)
-                job_payload["deadline"] = (
-                    time.time() + self.config.request_timeout_s
-                )
-                job_payload["job_dir"] = self.config.job_dir
-                job_payload["job_key"] = key
-                job_payload["lease_ttl_s"] = self.config.lease_ttl_s
-
-                def on_adopted(result: dict, key: str = key) -> None:
-                    recovery = result.get("recovery")
-                    degraded = bool(result.get("degraded")) or (
-                        isinstance(recovery, dict)
-                        and recovery.get("degraded")
-                    )
-                    if not degraded:
-                        self.response_cache.put(
-                            key, json.dumps(result).encode()
-                        )
-
+                post = _Post("/tune", key=key, payload=payload)
+                post.job_class = self._job_class("/tune", payload)
                 try:
-                    mode, task = self.dispatcher.dispatch(
-                        key, job, job_payload, on_result=on_adopted
-                    )
+                    mode, task = self._dispatch(post)
                 except Overloaded:
                     break  # shard got busy mid-scan; client work first
                 if mode == "fresh":

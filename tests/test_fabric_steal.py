@@ -16,7 +16,7 @@ from repro.engine import shard_key
 from repro.fabric import BackgroundFabric, FabricConfig, HashRing
 from repro.service.background import BackgroundServer
 from repro.service.config import ServiceConfig
-from repro.service.jobs import normalize_tune, request_key
+from repro.service.jobs import JOBS, normalize_tune, request_key
 from repro.util import crashsafe
 
 
@@ -125,6 +125,49 @@ class TestJobLedger:
         ledger.result_path("k1").write_text("garbage")
         assert ledger.result("k1") is None
         assert not ledger.result_path("k1").exists()
+
+
+class TestAdoptedTune:
+    def test_adopted_tune_takes_its_cost_class(self, tmp_path, monkeypatch):
+        # The classifier prices this exhaustive sweep at about 0.4 s:
+        # "expensive".  Adopted from the ledger, it must run in that
+        # class's pool under that class's deadline, like a client's.
+        payload = normalize_tune(
+            {"stencil": "3d7pt", "grid": [24, 24, 48], "tuner": "exhaustive"}
+        )
+        key = request_key("/tune", payload)
+        ledger = JobLedger(tmp_path)
+        ledger.enqueue(key, "/tune", payload)
+        seen = []
+
+        def adopted(job_payload: dict) -> dict:
+            seen.append(dict(job_payload))
+            ledger.complete(key, "test", {"adopted": True})
+            return {"adopted": True}
+
+        monkeypatch.setitem(JOBS, "/tune", (normalize_tune, adopted))
+        config = ServiceConfig(
+            port=0, executor="thread", workers=1, job_dir=str(tmp_path),
+            steal_interval_s=0.05, cost_routing=True, expensive_workers=1,
+            expensive_timeout_s=77.0,
+        )
+        with BackgroundServer(config) as bg:
+            start = time.time()
+            deadline = time.monotonic() + 30
+            while bg.service.steal_counters["adopted"] < 1 or not seen:
+                assert time.monotonic() < deadline, "nothing was adopted"
+                time.sleep(0.01)
+            classes = bg.service.dispatcher.overload_snapshot()["classes"]
+            cached = bg.service.response_cache.peek(key)
+        assert [
+            classes[cls]["admitted"] for cls in ("cheap", "expensive")
+        ] == [0, 1]
+        assert len(seen) == 1
+        assert seen[0]["deadline"] == pytest.approx(start + 77.0, abs=5.0)
+        assert (seen[0]["job_dir"], seen[0]["job_key"]) == (
+            str(tmp_path), key
+        )
+        assert cached == b'{"adopted": true}'
 
 
 DRILL_PAYLOAD = {

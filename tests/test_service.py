@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.engine import RankRequest
 from repro.offsite.database import TuningDatabase, TuningKey, TuningRecord
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
@@ -14,7 +15,6 @@ from repro.service.jobs import (
     normalize_rank,
     normalize_tune,
     predict_job,
-    rank_db_key_parts,
     request_key,
 )
 from repro.service.metrics import (
@@ -23,7 +23,7 @@ from repro.service.metrics import (
     LatencyReservoir,
     ServiceMetrics,
 )
-from repro.service.server import _LruCache
+from repro.store import LruTier
 
 
 class TestConfig:
@@ -90,7 +90,7 @@ class TestNormalization:
 
     def test_rank_db_key_parts(self):
         n = normalize_rank({"grid": [8, 8, 16], "validate": False})
-        method, ivp, machine, grid = rank_db_key_parts(n)
+        method, ivp, machine, grid = RankRequest.from_payload(n).db_key_parts()
         assert method == "radau_iia(4)m3"
         assert ivp == "grid8x8x16"
         assert machine == "clx" and grid == (8, 8, 16)
@@ -104,12 +104,12 @@ class TestNormalization:
             {"block": "auto"},
             {"seed": 7},
         ]
-        keys = {rank_db_key_parts(base)}
+        keys = {RankRequest.from_payload(base).db_key_parts()}
         for override in overrides:
             n = normalize_rank(
                 {"grid": [8, 8, 16], "validate": False, **override}
             )
-            keys.add(rank_db_key_parts(n))
+            keys.add(RankRequest.from_payload(n).db_key_parts())
         # Every non-default parameterization gets its own identity …
         assert len(keys) == len(overrides) + 1
         # … while explicitly spelling out the defaults does not.
@@ -117,7 +117,10 @@ class TestNormalization:
             {"grid": [8, 8, 16], "validate": False,
              "cache_scale": 1 / 32, "seed": 0}
         )
-        assert rank_db_key_parts(explicit) == rank_db_key_parts(base)
+        assert (
+            RankRequest.from_payload(explicit).db_key_parts()
+            == RankRequest.from_payload(base).db_key_parts()
+        )
 
     def test_request_key_is_canonical(self):
         a = normalize_predict({"stencil": "3d7pt", "machine": "clx"})
@@ -185,7 +188,7 @@ class TestMetrics:
 
 class TestLruCache:
     def test_evicts_least_recently_used(self):
-        lru = _LruCache(capacity=2)
+        lru = LruTier(capacity=2)
         lru.put("a", {"v": 1})
         lru.put("b", {"v": 2})
         assert lru.get("a") == {"v": 1}  # refresh a
@@ -194,7 +197,7 @@ class TestLruCache:
         assert lru.get("a") == {"v": 1} and lru.get("c") == {"v": 3}
 
     def test_zero_capacity_stores_nothing(self):
-        lru = _LruCache(capacity=0)
+        lru = LruTier(capacity=0)
         lru.put("a", {"v": 1})
         assert lru.get("a") is None and len(lru) == 0
 
