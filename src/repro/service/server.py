@@ -96,13 +96,12 @@ def _envelope_head(endpoint: str, served: str) -> bytes:
 
 class _Answer(NamedTuple):
     """A stage's answer to one POST.  A 200 carries its ``served``
-    label and its result (encoded bytes, or a dict to encode), which
-    the render stage wraps in an envelope; any other status carries its
-    whole JSON document."""
+    label and its result's encoded bytes, which the render stage wraps
+    in an envelope; any other status carries its whole body."""
 
     outcome: str
     status: int
-    body: bytes | dict
+    body: bytes
     served: str | None = None
     headers: dict[str, str] | None = None
     trace: dict | None = None
@@ -118,7 +117,9 @@ def _refuse(
     headers = None
     if retry_after_s is not None:
         headers = {"Retry-After": str(max(1, int(retry_after_s + 0.999)))}
-    return _Answer(outcome, status, document, headers=headers)
+    return _Answer(
+        outcome, status, json.dumps(document).encode(), headers=headers
+    )
 
 
 def _failure(exc: Exception) -> _Answer:
@@ -426,8 +427,9 @@ class ReproService(Http1Server):
                 TuningKey(*parsed.request.db_key_parts())
             )
             if record is not None:
+                result = tuning_record_to_dict(record)
                 return _Answer(
-                    "database", 200, tuning_record_to_dict(record), "database"
+                    "database", 200, json.dumps(result).encode(), "database"
                 )
         if self.approx_tier is not None and not parsed.exact:
             min_confidence = self.config.approx_confidence
@@ -441,7 +443,8 @@ class ReproService(Http1Server):
             if served is not None:
                 result, confidence = served
                 return _Answer(
-                    "approximate", 200, result, "approximate",
+                    "approximate", 200, json.dumps(result).encode(),
+                    "approximate",
                     extras=(("approximate", True), ("confidence", confidence)),
                 )
         return None
@@ -552,9 +555,8 @@ class ReproService(Http1Server):
             trace = None
             if post.parsed.trace:
                 trace, result = result["trace"], result["result"]
-            answer = _Answer(
-                mode, 200, post.encoded or result, mode, trace=trace
-            )
+            encoded = post.encoded or json.dumps(result).encode()
+            answer = _Answer(mode, 200, encoded, mode, trace=trace)
         if verdict is None:
             breaker.release_probe()
         elif mode == "fresh":
@@ -578,7 +580,10 @@ class ReproService(Http1Server):
         if post.brownout:
             state = post.note["brownout"] = self.ladder.state
             extras += (("brownout", state),)
-        return _Answer("degraded", 200, result, "degraded", extras=extras)
+        return _Answer(
+            "degraded", 200, json.dumps(result).encode(), "degraded",
+            extras=extras,
+        )
 
     def _dispatch(self, post: _Post) -> tuple[str, Awaitable[dict]]:
         """Coalesce onto an identical in-flight job or admit a fresh one
@@ -689,8 +694,6 @@ class ReproService(Http1Server):
         """
         stages = post.stages
         body = answer.body
-        if not isinstance(body, bytes):
-            body = json.dumps(body).encode()
         if answer.served is not None:
             members = [_envelope_head(post.endpoint, answer.served), body]
             if post.parsed.trace:
