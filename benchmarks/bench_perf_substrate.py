@@ -3,12 +3,12 @@
 Unlike the ``bench_f*``/``bench_t*`` files (which time the paper's
 *experiments*), this one times the simulator that powers them:
 
-* scalar vs. vectorized cache-replay engine on a blocked sweep
-  (``measure_sweep`` with ``engine="scalar"`` / ``"vector"``),
+* the per-access reference replay (``repro.cachesim.lru.reference_sweep``:
+  one batch per grid row, one access at a time) vs. ``measure_sweep``'s
+  batched engine on a blocked sweep,
 * the same comparison at the 1/32 cache scale of the experiments and
-  of tuner sweeps (``engine="scalar"`` vs. ``"auto"``: the batched
-  engine, whose one kernel replays the 2-set L1 like every other
-  level, fed through the shared sweep prefix),
+  of tuner sweeps, where the batched engine's one kernel replays the
+  2-set L1 like every other level, fed through the shared sweep prefix,
 * cold vs. memoized ``simulate_kernel`` (traffic-cache hit path),
 * the unhoisted block search (an argmin of ``ecm.predict`` over every
   candidate) vs. ``analytic_block_selection``, which evaluates the
@@ -24,7 +24,7 @@ Run standalone::
     python benchmarks/bench_perf_substrate.py [--quick] [--json PATH] \
         [--artifact PATH] [--timestamp ISO]
 
-It prints a JSON record with the speedups; the vectorized engine is
+It prints a JSON record with the speedups; the batched engine is
 expected to be >= 3x on the blocked 3d7pt replay, the memoized path
 >= 10x over a cold simulate_kernel, and the predictor fast path >= 3x
 on the exhaustive sweeps (geomean).  Engine timings interleave the two
@@ -45,6 +45,7 @@ import time
 from repro.blocking.spatial import analytic_block_selection
 from repro.cachesim import TrafficCache, measure_sweep, prefix_stats
 from repro.cachesim.dispatch import predictor_counters
+from repro.cachesim.lru import reference_sweep
 from repro.codegen.plan import KernelPlan, candidate_plans
 from repro.ecm.model import predict
 from repro.grid.grid import GridSet
@@ -113,7 +114,7 @@ def _engine_repeats(quick: bool) -> int:
 
 
 def bench_engines(quick: bool) -> list[dict]:
-    """Time scalar vs. vector replay on identical sweeps."""
+    """Time the reference vs. the batched replay on identical sweeps."""
     machine = cascade_lake_sp()
     repeats = _engine_repeats(quick)
     rows = []
@@ -122,24 +123,25 @@ def bench_engines(quick: bool) -> list[dict]:
         grids = GridSet(spec, shape)
         plan = KernelPlan(block=block)
 
-        def run(engine):
+        def scalar():
+            return reference_sweep(spec, grids, plan, machine)
+
+        def vector():
             # predictor="simulate" keeps LC analysis out of the engine
             # timing: this section compares replay engines only.
             return measure_sweep(
                 spec, grids, plan, machine,
-                engine=engine, traffic_cache=None, predictor="simulate",
+                traffic_cache=None, predictor="simulate",
             )
 
-        r_scalar = run("scalar")
-        r_vector = run("vector")
+        r_scalar = scalar()
+        r_vector = vector()
         if r_scalar.as_dict() != r_vector.as_dict():
             raise AssertionError(
                 f"{name}: engine reports differ:"
                 f" {r_scalar.as_dict()} vs {r_vector.as_dict()}"
             )
-        t_scalar, t_vector = _interleaved_best(
-            [lambda: run("scalar"), lambda: run("vector")], repeats
-        )
+        t_scalar, t_vector = _interleaved_best([scalar, vector], repeats)
         rows.append(
             {
                 "case": name,
@@ -154,12 +156,11 @@ def bench_engines(quick: bool) -> list[dict]:
 
 
 def bench_scaled_replay(quick: bool) -> dict:
-    """Time the scalar reference vs. ``auto`` on 1/32-scaled caches.
+    """Time the reference vs. ``measure_sweep`` on 1/32-scaled caches.
 
     At this scale the L1 has two sets and L2 and L3 have 32 and 64;
-    ``auto``'s batched engine replays all three with its one
-    stack-distance kernel.  This is the replay of every experiment and
-    tuner sweep.
+    the batched engine replays all three with its one stack-distance
+    kernel.  This is the replay of every experiment and tuner sweep.
     """
     machine = cascade_lake_sp().scaled_caches(SCALED_FACTOR)
     name, shape, block = SCALED_CASE
@@ -167,21 +168,24 @@ def bench_scaled_replay(quick: bool) -> dict:
     grids = GridSet(spec, shape)
     plan = KernelPlan(block=block)
 
-    def run(engine):
+    def scalar():
+        return reference_sweep(spec, grids, plan, machine)
+
+    def auto():
         return measure_sweep(
             spec, grids, plan, machine,
-            engine=engine, traffic_cache=None, predictor="simulate",
+            traffic_cache=None, predictor="simulate",
         )
 
-    r_scalar = run("scalar")
-    r_auto = run("auto")
+    r_scalar = scalar()
+    r_auto = auto()
     if r_scalar.as_dict() != r_auto.as_dict():
         raise AssertionError(
             f"{name} at cache scale {SCALED_FACTOR:g}: engine reports"
             f" differ: {r_scalar.as_dict()} vs {r_auto.as_dict()}"
         )
     t_scalar, t_auto = _interleaved_best(
-        [lambda: run("scalar"), lambda: run("auto")], _engine_repeats(quick)
+        [scalar, auto], _engine_repeats(quick)
     )
     return {
         "case": name,

@@ -5,7 +5,8 @@ Times the HTTP service (``repro.service``) over a loopback socket:
 * cold vs. warm throughput — the first pass over a set of distinct
   ``/tune`` payloads executes on the worker pool; repeat passes are
   served from the in-process response cache and are expected to
-  sustain >= 10x the cold request rate,
+  sustain >= 10x the cold request rate (the median over ``ROUNDS``
+  cold-then-warm rounds, each over its own never-seen payloads),
 * client- and server-side latency percentiles (p50/p95/p99), and
 * admission control — a flood of distinct requests against a
   ``queue_limit=1`` server must shed with HTTP 429 while the server
@@ -40,6 +41,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from statistics import median
 
 from repro.service.background import BackgroundServer
 from repro.service.client import ServiceClient, ServiceError
@@ -50,6 +52,11 @@ SCALE = 1 / 32  # shrink caches so the exact simulation stays fast
 STENCILS_FULL = ("3d7pt", "3d27pt", "heat3d", "3d25pt")
 STENCILS_QUICK = ("3d7pt", "heat3d")
 
+#: Cold-then-warm rounds behind ``warm_over_cold``.  Each leg lasts
+#: tens of milliseconds, so one leg can land in a slow phase of the
+#: host; the median over rounds measures the cache instead.
+ROUNDS = 5
+
 
 def _cfg(**kwargs) -> ServiceConfig:
     defaults = dict(port=0, executor="thread", workers=4, queue_limit=256)
@@ -57,12 +64,14 @@ def _cfg(**kwargs) -> ServiceConfig:
     return ServiceConfig(**defaults)
 
 
-def _payloads(quick: bool) -> list[dict]:
+def _payloads(quick: bool, round_: int = 0) -> list[dict]:
     # Tuning runs are the expensive request class (tens to hundreds of
     # ms fresh), so the warm/cold ratio measures the cache, not the
-    # socket overhead.
+    # socket overhead.  Each round widens x by one, so no round's
+    # payloads were seen before.
     stencils = STENCILS_QUICK if quick else STENCILS_FULL
-    grids = ([16, 16, 32],) if quick else ([16, 16, 32], [16, 32, 32])
+    nx = 32 + round_
+    grids = ([16, 16, nx],) if quick else ([16, 16, nx], [16, 32, nx])
     return [
         {"stencil": s, "grid": list(g), "cache_scale": SCALE}
         for s in stencils
@@ -81,40 +90,54 @@ def _percentiles_ms(samples: list[float]) -> dict:
 
 
 def bench_throughput(quick: bool) -> dict:
-    """Cold (pool) vs. warm (response cache) request rates."""
-    payloads = _payloads(quick)
+    """Cold (pool) vs. warm (response cache) request rates.
+
+    ``ROUNDS`` rounds run one after another in one server, each a cold
+    leg over its own payloads and then ``warm_passes`` warm passes over
+    the same payloads.  The rates and their ratio are medians over the
+    rounds.
+    """
     warm_passes = 10 if quick else 25
     latencies: list[float] = []
+    rounds = []
     with BackgroundServer(_cfg()) as bg:
         client = bg.client
+        for round_ in range(ROUNDS):
+            payloads = _payloads(quick, round_)
 
-        t0 = time.perf_counter()
-        for p in payloads:
-            client.tune(**p)
-        cold_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for _ in range(warm_passes):
+            t0 = time.perf_counter()
             for p in payloads:
-                t1 = time.perf_counter()
                 client.tune(**p)
-                latencies.append(time.perf_counter() - t1)
-        warm_s = time.perf_counter() - t0
+            cold_s = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            for _ in range(warm_passes):
+                for p in payloads:
+                    t1 = time.perf_counter()
+                    client.tune(**p)
+                    latencies.append(time.perf_counter() - t1)
+            warm_s = time.perf_counter() - t0
+
+            cold_rps = len(payloads) / cold_s
+            warm_rps = warm_passes * len(payloads) / warm_s
+            rounds.append({
+                "cold_s": round(cold_s, 4),
+                "warm_s": round(warm_s, 4),
+                "cold_rps": round(cold_rps, 1),
+                "warm_rps": round(warm_rps, 1),
+                "warm_over_cold": round(warm_rps / cold_rps, 1),
+            })
 
         snap = bg.metrics_snapshot()
 
-    n_warm = warm_passes * len(payloads)
-    cold_rps = len(payloads) / cold_s
-    warm_rps = n_warm / warm_s
     endpoint = snap["endpoints"]["/tune"]
     return {
-        "distinct_payloads": len(payloads),
-        "warm_requests": n_warm,
-        "cold_s": round(cold_s, 4),
-        "warm_s": round(warm_s, 4),
-        "cold_rps": round(cold_rps, 1),
-        "warm_rps": round(warm_rps, 1),
-        "warm_over_cold": round(warm_rps / cold_rps, 1),
+        "rounds": rounds,
+        "distinct_payloads": ROUNDS * len(payloads),
+        "warm_requests": ROUNDS * warm_passes * len(payloads),
+        "cold_rps": median(r["cold_rps"] for r in rounds),
+        "warm_rps": median(r["warm_rps"] for r in rounds),
+        "warm_over_cold": median(r["warm_over_cold"] for r in rounds),
         "client_latency": _percentiles_ms(latencies),
         "server_latency": endpoint["latency"],
         "outcomes": endpoint["outcomes"],

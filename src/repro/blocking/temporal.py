@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cachesim.driver import measure_stream
 from repro.cachesim.hierarchy import TrafficReport
-from repro.cachesim.stream import coalesce_batches, sweep_stream
+from repro.cachesim.stream import sweep_stream
 from repro.codegen.plan import KernelPlan
 from repro.grid.grid import GridSet
 from repro.machine.machine import Machine
@@ -163,23 +163,15 @@ def wavefront_stream(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Line-access stream of one wavefront pass over the whole grid.
 
-    Batches are the slabs' spatial blocks, with runs of small blocks
-    joined into mega-batches for the batched replay engine.
+    Batches are the slabs' spatial blocks.
     """
     in_name = _main_input(spec)
     swapped = _RoleSwappedGrids(grids, in_name, spec.output)
     shape = grids.interior_shape
 
-    def blocks():
-        for t, lo, hi in _step_ranges(
-            shape[0], plan.slab, plan.wt, spec.radius
-        ):
-            source = grids if t % 2 == 0 else swapped
-            yield from sweep_stream(
-                spec, source, plan.spatial, z_range=(lo, hi), batch="block"
-            )
-
-    return coalesce_batches(blocks())
+    for t, lo, hi in _step_ranges(shape[0], plan.slab, plan.wt, spec.radius):
+        source = grids if t % 2 == 0 else swapped
+        yield from sweep_stream(spec, source, plan.spatial, z_range=(lo, hi))
 
 
 def measure_wavefront(

@@ -9,14 +9,12 @@ conditions *without* running anything — comparing the two is how the
 reproduction validates the paper's "no need to run the code" claim.
 """
 
-from repro.cachesim.lru import SetAssocCache
 from repro.cachesim.fastlru import VectorCache
 from repro.cachesim.hierarchy import CacheHierarchy, TrafficReport
 from repro.cachesim.stream import (
     SweepPrefix,
     canonical_sweep_plan,
     sweep_stream,
-    stream_stats,
 )
 from repro.cachesim.dispatch import (
     PREDICTORS,
@@ -40,7 +38,6 @@ from repro.cachesim.driver import (
 )
 
 __all__ = [
-    "SetAssocCache",
     "VectorCache",
     "CacheHierarchy",
     "TrafficReport",
@@ -58,7 +55,6 @@ __all__ = [
     "sweep_key",
     "stream_key",
     "sweep_stream",
-    "stream_stats",
     "measure_sweep",
     "measure_stream",
     "prefix_stats",

@@ -18,11 +18,7 @@ from repro.cachesim.dispatch import (
     predictor_counters,
     validation_enabled,
 )
-from repro.cachesim.hierarchy import (
-    CacheHierarchy,
-    TrafficReport,
-    resolve_engine,
-)
+from repro.cachesim.hierarchy import CacheHierarchy, TrafficReport
 from repro.cachesim.memo import (
     TrafficCache,
     _grids_fingerprint,
@@ -48,22 +44,23 @@ def measure_stream(
     stream: Callable[[], Iterable[tuple[np.ndarray, np.ndarray]]],
     lups: int = 0,
     warmup: bool = True,
-    engine: str = "auto",
 ) -> TrafficReport:
     """Replay the ``(lines, writes)`` stream ``stream()`` builds.
 
-    With ``warmup`` a first replay runs uncounted.  Addresses are
-    name-bound, so it leaves exactly the footprint a steady
-    pointer-swapping time loop would: the trailing working set of every
-    involved array.  The caller picks the batch shape for ``engine``.
-    Returns the counted replay's traffic.
+    Consecutive batches are joined into mega-batches
+    (:func:`~repro.cachesim.stream.coalesce_batches`); counters do not
+    depend on where batches are cut.  With ``warmup`` a first replay
+    runs uncounted.  Addresses are name-bound, so it leaves exactly the
+    footprint a steady pointer-swapping time loop would: the trailing
+    working set of every involved array.  Returns the counted replay's
+    traffic.
     """
-    hier = CacheHierarchy(machine, engine=engine)
+    hier = CacheHierarchy(machine)
     if warmup:
-        for lines, writes in stream():
+        for lines, writes in coalesce_batches(stream()):
             hier.access_many(lines, writes)
         hier.reset_counters()
-    for lines, writes in stream():
+    for lines, writes in coalesce_batches(stream()):
         hier.access_many(lines, writes)
     return hier.report(lups=lups)
 
@@ -115,33 +112,17 @@ def _replay_sweep(
     plan: KernelPlan,
     machine: Machine,
     warmup: bool,
-    engine: str,
 ) -> TrafficReport:
     """Replay one sweep through the simulator (no memo, no dispatch)."""
     with obs.span("cachesim.replay") as rp:
-        engine = resolve_engine(engine)
-        rp.set(engine=engine)
-        prefix = None
-        if engine == "vector":
-            candidate = _shared_prefix(spec, grids)
-            if candidate.supports(plan):
-                prefix = candidate
-        if prefix is not None:
+        prefix = _shared_prefix(spec, grids)
+        if prefix.supports(plan):
             rp.set(batch="prefix")
             stream = lambda: prefix.stream(plan)  # noqa: E731
-        elif engine == "vector":
-            # The batched engine wants mega-batches: whole blocks, and
-            # runs of small blocks joined up to the prefix batch size.
-            stream = lambda: coalesce_batches(  # noqa: E731
-                sweep_stream(spec, grids, plan, batch="block")
-            )
         else:
-            # The scalar reference keeps the per-row stream, the shape
-            # the batched paths are tested against.
             stream = lambda: sweep_stream(spec, grids, plan)  # noqa: E731
         return measure_stream(
-            machine, stream, lups=prod(grids.interior_shape),
-            warmup=warmup, engine=engine,
+            machine, stream, lups=prod(grids.interior_shape), warmup=warmup
         )
 
 
@@ -151,7 +132,6 @@ def measure_sweep(
     plan: KernelPlan,
     machine: Machine,
     warmup: bool = True,
-    engine: str = "auto",
     traffic_cache: TrafficCache | str | None = "default",
     predictor: str = "auto",
 ) -> TrafficReport:
@@ -161,11 +141,10 @@ def measure_sweep(
     the measured sweep sees the warm state a time-stepping loop would —
     the regime the paper's steady-state measurements live in.
 
-    ``engine`` selects the replay implementation (see
-    :class:`~repro.cachesim.hierarchy.CacheHierarchy`).  Results are
-    memoized in ``traffic_cache`` (``"default"`` = the process-wide
-    cache, ``None`` = off): the replay is deterministic, so identical
-    configurations return the cached report without re-simulation.
+    Results are memoized in ``traffic_cache`` (``"default"`` = the
+    process-wide cache, ``None`` = off): the replay is deterministic, so
+    identical configurations return the cached report without
+    re-simulation.
 
     ``predictor`` selects how the report is produced: ``"simulate"``
     always replays, ``"lc"`` demands the analytic layer-condition fast
@@ -202,7 +181,7 @@ def measure_sweep(
                 report = analysis.report
                 if validation_enabled():
                     simulated = _replay_sweep(
-                        spec, grids, plan, machine, warmup, engine
+                        spec, grids, plan, machine, warmup
                     )
                     if (
                         report.loads != simulated.loads
@@ -227,7 +206,7 @@ def measure_sweep(
                 )
         counters.incr("sim_served")
         sp.set(served="simulate")
-        report = _replay_sweep(spec, grids, plan, machine, warmup, engine)
+        report = _replay_sweep(spec, grids, plan, machine, warmup)
         if cache is not None:
             cache.put(key, report)
         return report

@@ -1,9 +1,9 @@
-"""Batched replay of the cache hierarchy (the production engine).
+"""Batched replay of the cache hierarchy (the one replay engine).
 
-The scalar engine in :mod:`repro.cachesim.hierarchy` walks one access
-at a time through every level; it is kept as the reference.  This
-module replays the *same* semantics over whole batches and produces
-bit-identical traffic counters and LRU state.
+The reference in :mod:`repro.cachesim.lru` walks one access at a time
+through every level.  This module replays the *same* semantics over
+whole batches and produces bit-identical traffic counters and LRU
+state.
 
 **Level-phase decomposition.**  During one access, each level sees at
 most three primitive operations: a *demand* probe (lookup, and on a
@@ -16,7 +16,7 @@ level by level: level ``j`` consumes an ordered op stream and emits the
 ordered op stream of level ``j+1``.  Ordering is preserved by position
 arithmetic: an op at position ``p`` emits its propagated demand at
 ``4p`` and its eviction at ``4p+1`` (demand fill) or ``4p+2``
-(install), which reproduces exactly the scalar engine's interleaving of
+(install), which reproduces exactly the reference's interleaving of
 probes, fills and eviction cascades.
 
 **One stack-distance kernel per level.**  Ops on different sets
@@ -69,8 +69,8 @@ def _narrow(key: np.ndarray, span: int) -> np.ndarray:
 class VectorCache:
     """Array-backed set-associative LRU level for the batched engine.
 
-    Mirrors the observable state of
-    :class:`~repro.cachesim.lru.SetAssocCache`: row ``s`` of ``tags``
+    Mirrors the observable state of the reference's per-access
+    ``SetAssocCache`` (:mod:`repro.cachesim.lru`): row ``s`` of ``tags``
     holds the lines of set ``s`` in LRU-to-MRU order, ``-1`` marking an
     empty way (empty ways may sit anywhere in the row), and ``dirty``
     their write-back flags.
@@ -320,7 +320,7 @@ def replay_batch(hier, lines: np.ndarray, writes: np.ndarray) -> None:
     """Replay one ``(lines, writes)`` batch through the batched engine.
 
     Updates the hierarchy's traffic counters and per-level hit/miss
-    counters exactly like the scalar ``access_many`` loop would.
+    counters exactly like the reference's per-access loop would.
     """
     n = int(len(lines))
     if n == 0:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cachesim.fastlru import VectorCache, replay_batch
-from repro.cachesim.lru import SetAssocCache
 from repro.machine.machine import Machine
 
 
@@ -58,16 +57,6 @@ class TrafficReport:
         return out
 
 
-def resolve_engine(engine: str) -> str:
-    """The replay engine ``engine`` selects: ``"auto"`` is ``"vector"``."""
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError(
-            f"unknown engine {engine!r}; choose 'auto', 'scalar' or "
-            f"'vector'"
-        )
-    return "scalar" if engine == "scalar" else "vector"
-
-
 class CacheHierarchy:
     """Single-core view of a machine's cache hierarchy.
 
@@ -76,17 +65,18 @@ class CacheHierarchy:
     level (AMD Rome's L3) is exclusive: it is filled only by evictions
     from the level above, and hits move the line out of it.
 
-    ``engine`` selects the replay implementation: ``"vector"`` is the
-    batched engine in :mod:`repro.cachesim.fastlru`, which replays every
-    level with one stack-distance kernel over :class:`VectorCache`
-    state, and ``"auto"`` (default) resolves to it for every hierarchy.
-    ``"scalar"`` is the per-access reference loop the batched engine is
-    tested against (bit-identical counters and LRU state).
+    Every batch replays through :func:`repro.cachesim.fastlru.replay_batch`,
+    which replays every level with one stack-distance kernel over
+    :class:`VectorCache` state.  The per-access reference it is tested
+    against (bit-identical counters and LRU state) lives in
+    :mod:`repro.cachesim.lru`.
     """
 
-    def __init__(self, machine: Machine, engine: str = "auto") -> None:
+    #: Per-level state; the per-access reference swaps in its own.
+    level_type = VectorCache
+
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.engine = resolve_engine(engine)
         if any(c.victim for c in machine.caches[:-1]):
             raise ValueError("only the last level may be a victim cache")
         if len(machine.caches) == 1 and machine.caches[0].victim:
@@ -95,8 +85,7 @@ class CacheHierarchy:
                 f"which fills only from evictions of a level above it and "
                 f"so can never hold a line"
             )
-        level_type = VectorCache if self.engine == "vector" else SetAssocCache
-        self.levels = [level_type(c) for c in machine.caches]
+        self.levels = [self.level_type(c) for c in machine.caches]
         n = len(self.levels)
         self.loads = [0] * n
         self.writebacks = [0] * n
@@ -107,105 +96,13 @@ class CacheHierarchy:
     # ------------------------------------------------------------------
     def access(self, line: int, write: bool) -> None:
         """One load or store (write-allocate) of a cache line."""
-        if self.engine == "vector":
-            replay_batch(
-                self,
-                np.array([line], dtype=np.int64),
-                np.array([write], dtype=bool),
-            )
-            return
-        self.accesses += 1
-        levels = self.levels
-        if levels[0].lookup(line):
-            if write:
-                levels[0].mark_dirty(line)
-            return
-        self._miss(line, write)
+        self.access_many(
+            np.array([line], dtype=np.int64), np.array([write], dtype=bool)
+        )
 
     def access_many(self, lines: np.ndarray, writes: np.ndarray) -> None:
-        """Replay a batch of accesses (hot path: minimal indirection)."""
-        if self.engine == "vector":
-            replay_batch(self, lines, writes)
-            return
-        l0 = self.levels[0]
-        l0_sets = l0._sets
-        n_sets = l0.n_sets
-        self.accesses += len(lines)
-        hits = 0
-        for line, write in zip(lines.tolist(), writes.tolist()):
-            s = l0_sets[line % n_sets]
-            if line in s:
-                hits += 1
-                s.move_to_end(line)
-                if write:
-                    s[line] = True
-            else:
-                l0.misses += 1
-                self._miss(line, write)
-        l0.hits += hits
-
-    # ------------------------------------------------------------------
-    def _miss(self, line: int, write: bool) -> None:
-        """Handle an L1 miss: locate the line, fill, account traffic."""
-        levels = self.levels
-        n = len(levels)
-        last = n - 1
-        hit_level = n  # memory by default
-        for i in range(1, n):
-            lvl = levels[i]
-            if i == last and self._victim_last:
-                if lvl.contains(line):
-                    lvl.hits += 1
-                    lvl.remove(line)  # exclusive: hit moves the line out
-                    hit_level = i
-                else:
-                    lvl.misses += 1
-                continue
-            if lvl.lookup(line):
-                hit_level = i
-                break
-        # Lines cross every boundary between the hit level and the core.
-        for i in range(min(hit_level, n)):
-            self.loads[i] += 1
-        # Fill the levels the request passed through (deepest first).
-        fill_top = hit_level - 1 if hit_level <= last and not (
-            hit_level == last and self._victim_last
-        ) else last
-        if self._victim_last:
-            fill_top = min(fill_top, last - 1)
-        for i in range(fill_top, -1, -1):
-            victim = levels[i].insert(line, dirty=False)
-            if victim is not None:
-                self._evict(i, victim[0], victim[1])
-        if write:
-            levels[0].mark_dirty(line)
-
-    def _evict(self, level_idx: int, line: int, dirty: bool) -> None:
-        """Dispose of a line evicted from ``level_idx``."""
-        levels = self.levels
-        last = len(levels) - 1
-        if level_idx == last:
-            if dirty:
-                self.writebacks[last] += 1
-            return
-        below = levels[level_idx + 1]
-        if level_idx + 1 == last and self._victim_last:
-            # Every L2 eviction is installed in the victim L3.
-            self.writebacks[level_idx] += 1
-            victim = below.insert(line, dirty=dirty)
-            if victim is not None:
-                self._evict(last, victim[0], victim[1])
-            return
-        if dirty:
-            self.writebacks[level_idx] += 1
-            if below.contains(line):
-                below.mark_dirty(line)
-            else:
-                victim = below.insert(line, dirty=True)
-                if victim is not None:
-                    self._evict(level_idx + 1, victim[0], victim[1])
-        # Clean evictions from inner levels are dropped silently (the
-        # copy below stays valid in the fill-through model).
+        """Replay a batch of accesses."""
+        replay_batch(self, lines, writes)
 
     # ------------------------------------------------------------------
     def report(self, lups: int = 0) -> TrafficReport:

@@ -7,12 +7,10 @@ x-chunk granularity.  It is intentionally independent of the analytic
 layer-condition machinery in :mod:`repro.ecm`: addresses come straight
 from the grid layouts.
 
-Two batching granularities are offered: ``batch="row"`` yields one
-small batch per grid row (the historical shape, what the scalar engine
-consumes), ``batch="block"`` concatenates all rows of one spatial block
-into a single mega-batch — the exact same accesses in the exact same
-order, but large enough for the vectorized replay engine to amortise
-per-batch overheads.
+Each batch concatenates the rows of one spatial block: large enough for
+the batched replay engine to amortise its per-batch overheads.  The
+per-row generator these batches are checked against is the reference
+in :mod:`repro.cachesim.lru`.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ def _sweep_blocks(
         bounds: list[tuple[int, int]] = [None] * dim  # type: ignore[list-item]
         for axis, rng in zip(order, combo):
             bounds[axis] = rng
-        if bounds[dim - 1][1] <= bounds[dim - 1][0]:
+        if any(hi <= lo for lo, hi in bounds):
             continue
         yield bounds
 
@@ -96,85 +94,28 @@ def sweep_stream(
     grids: GridSet,
     plan: KernelPlan,
     z_range: tuple[int, int] | None = None,
-    batch: str = "row",
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(line_numbers, is_write)`` batches for one sweep.
+    """Yield one ``(line_numbers, is_write)`` batch per spatial block.
 
-    With ``batch="row"`` each batch covers one grid row (fixed outer
-    indices, full x range of the current block).  Within a row, accesses
-    are interleaved per 64-byte x-chunk: all distinct read lines of the
-    chunk, then the store line — the order an in-order traversal of the
-    generated loop body produces at line granularity.  With
-    ``batch="block"`` the row batches of each spatial block are emitted
-    as one concatenated mega-batch (identical accesses and order).
+    Blocks come in plan order and rows inside a block lexicographically.
+    Within a row, accesses are interleaved per 64-byte x-chunk: all
+    distinct read lines of the chunk, then the store line — the order
+    an in-order traversal of the generated loop body produces at line
+    granularity.
 
     ``z_range`` optionally restricts the outermost axis (used by the
     wavefront/temporal driver to stream skewed slabs).
     """
-    if batch not in ("row", "block"):
-        raise ValueError(f"unknown batch mode {batch!r}; use 'row' or 'block'")
-    dim = spec.dim
     halo = grids[spec.output].halo
-    line_bytes = 64
-    dtype = spec.dtype_bytes
-
     read_offsets = [
         (g, off) for g in spec.reads for off in sorted(spec.offsets[g])
     ]
     out_layout = grids[spec.output].layout
-
     for bounds in _sweep_blocks(grids.interior_shape, plan, z_range):
-        if batch == "block":
-            yield _block_batch(
-                bounds, halo, dtype, line_bytes, read_offsets, grids,
-                out_layout,
-            )
-            continue
-        x0, x1 = bounds[dim - 1]
-        inner_extents = [range(b[0], b[1]) for b in bounds[:-1]]
-        for outer in product(*inner_extents):
-            yield _row_batch(
-                outer, x0, x1, halo, dtype, line_bytes,
-                read_offsets, grids, out_layout, spec,
-            )
-
-
-def _row_batch(
-    outer: tuple[int, ...],
-    x0: int,
-    x1: int,
-    halo: int,
-    dtype: int,
-    line_bytes: int,
-    read_offsets,
-    grids: GridSet,
-    out_layout,
-    spec: StencilSpec,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build the interleaved line stream of one row."""
-    n = x1 - x0
-    first_lines = []
-    for g, off in read_offsets:
-        layout = grids[g].layout
-        idx = tuple(o + halo + d for o, d in zip(off[:-1], outer)) + (
-            off[-1] + halo + x0,
+        yield _block_batch(
+            bounds, halo, spec.dtype_bytes, 64, read_offsets, grids,
+            out_layout,
         )
-        addr = layout.element_addr(idx)
-        first_lines.append(addr // line_bytes)
-    out_idx = tuple(halo + d for d in outer) + (halo + x0,)
-    out_addr = out_layout.element_addr(out_idx)
-    out_first = out_addr // line_bytes
-
-    # Chunk count: number of distinct lines the store stream touches.
-    last_out = (out_addr + (n - 1) * dtype) // line_bytes
-    n_chunks = int(last_out - out_first + 1)
-
-    uniq = sorted(set(first_lines))
-    cols = np.array(uniq + [out_first], dtype=np.int64)
-    lines = (cols[None, :] + np.arange(n_chunks, dtype=np.int64)[:, None]).ravel()
-    writes = np.zeros((n_chunks, len(cols)), dtype=bool)
-    writes[:, -1] = True
-    return lines, writes.ravel()
 
 
 def _block_geometry(
@@ -293,24 +234,35 @@ def coalesce_batches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Concatenate consecutive ``(lines, writes)`` batches.
 
-    Yields batches of at most ``max_ops`` accesses (a single larger
-    input batch passes through whole).  The replay engines are exact
-    LRU: their counters depend only on the access order, not on where
-    the batches are cut, so the coalesced stream replays bit-identically
-    while paying the batched engine's per-batch cost far less often.
+    Yields batches of at most ``max_ops`` accesses; a batch that has no
+    neighbour to join (a single larger input batch, or one of
+    :meth:`SweepPrefix.stream`'s) passes through uncopied.  The replay
+    is exact LRU: its counters depend only on the access order, not on
+    where the batches are cut, so the coalesced stream replays
+    bit-identically while paying the batched engine's per-batch cost
+    far less often.
     """
     lines_l: list[np.ndarray] = []
     writes_l: list[np.ndarray] = []
     n = 0
     for lines, writes in stream:
         if n and n + len(lines) > max_ops:
-            yield np.concatenate(lines_l), np.concatenate(writes_l)
+            yield _joined(lines_l, writes_l)
             lines_l, writes_l, n = [], [], 0
         lines_l.append(lines)
         writes_l.append(writes)
         n += len(lines)
     if n:
-        yield np.concatenate(lines_l), np.concatenate(writes_l)
+        yield _joined(lines_l, writes_l)
+
+
+def _joined(
+    lines_l: list[np.ndarray], writes_l: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of the buffered batches; a lone one is not copied."""
+    if len(lines_l) == 1:
+        return lines_l[0], writes_l[0]
+    return np.concatenate(lines_l), np.concatenate(writes_l)
 
 
 class SweepPrefix:
@@ -329,7 +281,7 @@ class SweepPrefix:
     on the access *sequence*, not on how the sequence is cut into
     batches.  That lets :meth:`stream` coalesce rows across block
     boundaries into mega-batches of roughly ``max_ops`` accesses while
-    staying bit-identical to the per-row and per-block generators.
+    staying bit-identical to :func:`sweep_stream`.
     """
 
     def __init__(self, spec: StencilSpec, grids: GridSet) -> None:
@@ -420,29 +372,3 @@ class SweepPrefix:
             yield self._expand(rids[i:j])
             i = j
 
-
-def stream_stats(
-    spec: StencilSpec, grids: GridSet, plan: KernelPlan
-) -> dict[str, int]:
-    """Count row batches/accesses of a sweep without touching a cache.
-
-    Computed arithmetically from the per-block geometry — no access
-    arrays are materialized.
-    """
-    dim = spec.dim
-    halo = grids[spec.output].halo
-    line_bytes = 64
-    dtype = spec.dtype_bytes
-    read_offsets = [
-        (g, off) for g in spec.reads for off in sorted(spec.offsets[g])
-    ]
-    out_layout = grids[spec.output].layout
-    batches = 0
-    accesses = 0
-    for bounds in _sweep_blocks(grids.interior_shape, plan, None):
-        _, _, cc, n_chunks, rows = _block_geometry(
-            bounds, halo, dtype, line_bytes, read_offsets, grids, out_layout
-        )
-        batches += rows
-        accesses += int((cc * n_chunks).sum())
-    return {"batches": batches, "accesses": accesses}

@@ -6,7 +6,7 @@ manager::
 
     with obs.span("cachesim.sweep") as sp:
         sp.add(memo_hits=1)          # numeric counters accumulate
-        sp.set(engine="vector")      # string attributes annotate
+        sp.set(served="memo")        # string attributes annotate
         ...
 
 When no trace is active (the common case) ``span()`` returns a shared

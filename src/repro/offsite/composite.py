@@ -17,9 +17,8 @@ import numpy as np
 
 from repro import obs
 from repro.cachesim.driver import measure_stream
-from repro.cachesim.hierarchy import TrafficReport, resolve_engine
+from repro.cachesim.hierarchy import TrafficReport
 from repro.cachesim.memo import resolve_traffic_cache, stream_key
-from repro.cachesim.stream import coalesce_batches
 from repro.codegen.plan import KernelPlan, candidate_blocks
 from repro.ecm.layer_conditions import (
     LayerConditionModel,
@@ -293,7 +292,6 @@ def measure_kernel(
     dim: int = 3,
     seed: int = 0,
     warmup: bool = True,
-    engine: str = "auto",
     traffic_cache="default",
 ) -> tuple[float, TrafficReport]:
     """Simulated (cycles/LUP, traffic) of one composite-kernel sweep.
@@ -314,18 +312,10 @@ def measure_kernel(
             sp.add(**({"memo_hits": 1} if traffic is not None
                       else {"memo_misses": 1}))
         if traffic is None:
-            with obs.span("cachesim.replay") as rp:
-                engine = resolve_engine(engine)
-                rp.set(engine=engine)
-
-                def stream():
-                    rows = kernel_stream(kernel, grids, plan, dim)
-                    if engine == "scalar":
-                        return rows  # the reference replays row by row
-                    return coalesce_batches(rows)
-
+            with obs.span("cachesim.replay"):
                 traffic = measure_stream(
-                    machine, stream, lups=lups, warmup=warmup, engine=engine
+                    machine, lambda: kernel_stream(kernel, grids, plan, dim),
+                    lups=lups, warmup=warmup,
                 )
             if cache is not None:
                 cache.put(key, traffic)

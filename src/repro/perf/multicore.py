@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from repro.cachesim.driver import measure_stream
-from repro.cachesim.stream import coalesce_batches, sweep_stream
+from repro.cachesim.stream import sweep_stream
 from repro.codegen.plan import KernelPlan
 from repro.grid.grid import GridSet
 from repro.machine.machine import Machine
@@ -55,13 +55,10 @@ def simulate_scaling(
         z_hi = min(shape[0], z_lo + slab)
         lups = (z_hi - z_lo) * prod(shape[1:])
 
-        # Warm replay then measured replay, like the single-core driver;
-        # mega-batches for the batched replay engine.
+        # Warm replay then measured replay, like the single-core driver.
         traffic = measure_stream(
             machine,
-            lambda: coalesce_batches(sweep_stream(
-                spec, grids, plan, z_range=(z_lo, z_hi), batch="block"
-            )),
+            lambda: sweep_stream(spec, grids, plan, z_range=(z_lo, z_hi)),
             lups=lups,
         )
         per_core_cycles = simulated_cycles(

@@ -133,7 +133,6 @@ def simulate_kernel(
     seed: int = 0,
     warmup: bool = True,
     n_cores: int = 1,
-    engine: str = "auto",
     traffic_cache="default",
     predictor: str = "auto",
 ) -> Measurement:
@@ -152,8 +151,7 @@ def simulate_kernel(
     with obs.span("perf.simulate"):
         traffic = measure_sweep(
             spec, grids, plan, machine, warmup=warmup,
-            engine=engine, traffic_cache=traffic_cache,
-            predictor=predictor,
+            traffic_cache=traffic_cache, predictor=predictor,
         )
         cycles = simulated_cycles(
             *simulated_incore(spec, machine), traffic, machine,

@@ -29,7 +29,7 @@ Two overload-control layers ride on top (see
 * With ``config.adaptive_limits`` each class's admission bound becomes
   ``min(static limit, AIMD limit)``; finished fresh jobs feed their
   total latency back into the limiter and the per-class latency
-  tracker (which deadline admission consults for the observed p95).
+  window (which deadline admission consults for the observed p95).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from typing import Awaitable, Callable
 
 from repro.service.config import ServiceConfig
 from repro.service.cost import JOB_CLASSES
-from repro.service.overload import AdaptiveLimiter, ClassLatencyTracker
+from repro.service.metrics import LatencyReservoir
+from repro.service.overload import AdaptiveLimiter
 
 __all__ = ["Overloaded", "DeadlineSwept", "CoalescingDispatcher"]
 
@@ -90,7 +91,7 @@ class CoalescingDispatcher:
         self._class_swept = {cls: 0 for cls in JOB_CLASSES}
         # Observed total latency per class (deadline admission's p95
         # source) — always on, a deque append per finished fresh job.
-        self._trackers = {cls: ClassLatencyTracker() for cls in JOB_CLASSES}
+        self._trackers = {cls: LatencyReservoir(64) for cls in JOB_CLASSES}
         self._limiters: dict[str, AdaptiveLimiter] | None = None
         if config.adaptive_limits:
             self._limiters = {

@@ -48,9 +48,6 @@ class ServiceConfig:
         updated after fresh rankings).
     max_body_bytes:
         Request bodies larger than this are rejected with HTTP 413.
-    latency_reservoir:
-        Samples kept per endpoint for the latency percentiles
-        reported by ``/metrics``.
     breaker_threshold:
         Consecutive fresh-job failures on one endpoint before its
         circuit breaker opens.
@@ -165,7 +162,6 @@ class ServiceConfig:
     drain_timeout_s: float = 30.0
     db_path: str | None = None
     max_body_bytes: int = 1 << 20
-    latency_reservoir: int = 2048
     breaker_threshold: int = 5
     breaker_recovery_s: float = 30.0
     degraded_mode: bool = True

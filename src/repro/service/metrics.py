@@ -60,8 +60,19 @@ TIER_NAMES = (
 _LEDGER_FIELDS = ("hits", "misses", "puts", "evictions")
 
 
+def _nearest_rank(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of sorted samples, by nearest rank."""
+    return ordered[min(len(ordered) - 1, round(q * (len(ordered) - 1)))]
+
+
 class LatencyReservoir:
-    """Sliding window of request latencies with percentile readout."""
+    """Sliding window of latencies (seconds), read by nearest rank.
+
+    The one latency window: an endpoint's ``/metrics`` percentiles
+    (2048 samples), and per queue class the p95 that deadline admission
+    and the adaptive limiter read (64 and 32 samples).  Reads sort the
+    window, O(capacity).
+    """
 
     def __init__(self, capacity: int = 2048) -> None:
         self._samples: deque[float] = deque(maxlen=capacity)
@@ -72,22 +83,27 @@ class LatencyReservoir:
         self._samples.append(seconds)
         self.count += 1
 
+    def clear(self) -> None:
+        """Start the window over (``count`` keeps its total)."""
+        self._samples.clear()
+
     def percentiles(self) -> dict[str, float | None]:
         """p50/p95/p99 of the retained window, in milliseconds."""
         if not self._samples:
             return {"p50_ms": None, "p95_ms": None, "p99_ms": None}
         ordered = sorted(self._samples)
-        n = len(ordered)
-
-        def pick(q: float) -> float:
-            idx = min(n - 1, max(0, round(q * (n - 1))))
-            return ordered[idx] * 1e3
-
         return {
-            "p50_ms": pick(0.50),
-            "p95_ms": pick(0.95),
-            "p99_ms": pick(0.99),
+            "p50_ms": _nearest_rank(ordered, 0.50) * 1e3,
+            "p95_ms": _nearest_rank(ordered, 0.95) * 1e3,
+            "p99_ms": _nearest_rank(ordered, 0.99) * 1e3,
         }
+
+    def p95(self) -> float | None:
+        """Windowed p95 in seconds; ``None`` until enough samples exist
+        (admission must not guess from one observation)."""
+        if len(self._samples) < 4:
+            return None
+        return _nearest_rank(sorted(self._samples), 0.95)
 
 
 class EndpointStats:

@@ -39,12 +39,13 @@ from __future__ import annotations
 import time
 from collections import deque
 
+from repro.service.metrics import LatencyReservoir
+
 __all__ = [
     "DEADLINE_HEADER",
     "BROWNOUT_STAGES",
     "deadline_from_headers",
     "format_deadline_ms",
-    "ClassLatencyTracker",
     "AdaptiveLimiter",
     "BrownoutLadder",
 ]
@@ -92,38 +93,6 @@ def format_deadline_ms(remaining_s: float) -> str:
     return str(max(1, int(remaining_s * 1e3)))
 
 
-class ClassLatencyTracker:
-    """Windowed latency observations of one queue class.
-
-    Feeds two consumers: deadline admission (``p95`` — can the
-    remaining budget plausibly cover this class?) and the adaptive
-    limiter.  A plain sorted-window p95 over a small deque; O(window)
-    on read, which only happens on deadline-carrying admissions and
-    limiter updates.
-    """
-
-    def __init__(self, window: int = 64) -> None:
-        self._samples: deque[float] = deque(maxlen=window)
-        self.count = 0
-
-    def record(self, seconds: float) -> None:
-        self._samples.append(seconds)
-        self.count += 1
-
-    def clear(self) -> None:
-        """Start the window over (``count`` keeps its total)."""
-        self._samples.clear()
-
-    def p95(self) -> float | None:
-        """Windowed p95 in seconds; ``None`` until enough samples exist
-        (admission must not guess from one observation)."""
-        n = len(self._samples)
-        if n < 4:
-            return None
-        ordered = sorted(self._samples)
-        return ordered[min(n - 1, round(0.95 * (n - 1)))]
-
-
 class AdaptiveLimiter:
     """AIMD concurrency limit for one queue class.
 
@@ -163,7 +132,7 @@ class AdaptiveLimiter:
         self.cooldown_s = cooldown_s
         self._now = now_fn
         self._limit = float(ceiling)
-        self._window = ClassLatencyTracker(window)
+        self._window = LatencyReservoir(window)
         self._last_shrink: float | None = None
         self.shrinks = 0
         self.grows = 0

@@ -162,7 +162,7 @@ class ReproService(Http1Server):
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
         super().__init__(self.config.max_body_bytes)
-        self.metrics = ServiceMetrics(self.config.latency_reservoir)
+        self.metrics = ServiceMetrics()
         self.dispatcher = CoalescingDispatcher(self.config)
         self.response_cache = LruTier(
             "response", capacity=self.config.response_cache_size
@@ -539,8 +539,14 @@ class ReproService(Http1Server):
             answer = _refuse(
                 "shed", 504, {"error": "deadline expired in queue"}
             )
-        except asyncio.TimeoutError:
-            if wait_s < timeout_s:  # the caller's budget, not the backend
+        except asyncio.TimeoutError as exc:
+            if (task.done() and not task.cancelled()
+                    and task.exception() is exc):
+                # The job's own TimeoutError (the wait's class too since
+                # Python 3.11): a job failure, not an expired wait.
+                verdict = False
+                answer = _failure(exc)
+            elif wait_s < timeout_s:  # the caller's budget, not the backend
                 answer = _refuse("failed", 504, {"error": "deadline exceeded"})
             else:
                 verdict = False

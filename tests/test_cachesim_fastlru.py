@@ -1,4 +1,4 @@
-"""Batched replay engine: bit-identical to the scalar reference."""
+"""Batched replay engine: bit-identical to the per-access reference."""
 
 import numpy as np
 import pytest
@@ -6,10 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cachesim import (
     CacheHierarchy,
-    SetAssocCache,
     VectorCache,
     measure_sweep,
     sweep_stream,
+)
+from repro.cachesim.lru import (
+    ReferenceHierarchy,
+    SetAssocCache,
+    reference_sweep,
+    row_stream,
 )
 from repro.cachesim.stream import coalesce_batches
 from repro.codegen.plan import KernelPlan
@@ -42,8 +47,8 @@ def small_machine(victim_l3: bool = False, assoc: int = 4) -> Machine:
     )
 
 
-def replay(machine: Machine, engine: str, batches) -> CacheHierarchy:
-    hier = CacheHierarchy(machine, engine=engine)
+def replay(machine: Machine, hierarchy: type, batches) -> CacheHierarchy:
+    hier = hierarchy(machine)
     for lines, writes in batches:
         hier.access_many(lines, writes)
     return hier
@@ -111,23 +116,14 @@ class TestEngineSelection:
             edge,
         ):
             hier = CacheHierarchy(machine)
-            assert hier.engine == "vector"
             assert all(type(lvl) is VectorCache for lvl in hier.levels)
-        scalar = CacheHierarchy(edge, engine="scalar")
-        assert all(type(lvl) is SetAssocCache for lvl in scalar.levels)
+        reference = ReferenceHierarchy(edge)
+        assert all(type(lvl) is SetAssocCache for lvl in reference.levels)
 
     def test_auto_is_vector_for_real_presets(self):
         for preset in (cascade_lake_sp, rome):
             hier = CacheHierarchy(preset())
-            assert hier.engine == "vector"
             assert all(type(lvl) is VectorCache for lvl in hier.levels)
-
-    def test_explicit_engines(self):
-        m = small_machine()
-        assert CacheHierarchy(m, engine="scalar").engine == "scalar"
-        assert CacheHierarchy(m, engine="vector").engine == "vector"
-        with pytest.raises(ValueError):
-            CacheHierarchy(m, engine="simd")
 
     def test_single_level_victim_rejects_vector(self):
         caches = (CacheLevel("V", 32 * 2 * 64, 64, 2, 64.0, victim=True),)
@@ -135,11 +131,11 @@ class TestEngineSelection:
             "v", "AVX2", 2.0, 1, 1, CoreModel(32, 2, 1, 1, 2, 1),
             caches, 20.0, 10.0,
         )
-        # Nothing ever fills a lone victim level, so every engine
-        # refuses the hierarchy up front.
-        for engine in ("auto", "scalar", "vector"):
+        # Nothing ever fills a lone victim level, so the hierarchy and
+        # its reference refuse it up front.
+        for hierarchy in (CacheHierarchy, ReferenceHierarchy):
             with pytest.raises(ValueError, match="can never hold a line"):
-                CacheHierarchy(m, engine=engine)
+                hierarchy(m)
 
 
 class TestRandomStreamEquivalence:
@@ -149,15 +145,15 @@ class TestRandomStreamEquivalence:
     def test_counters_and_state_match(self, victim, assoc, seed):
         m = small_machine(victim_l3=victim, assoc=assoc)
         batches = random_batches(seed)
-        a = replay(m, "scalar", batches)
-        b = replay(m, "vector", batches)
+        a = replay(m, ReferenceHierarchy, batches)
+        b = replay(m, CacheHierarchy, batches)
         assert_same_state(a, b)
 
     def test_single_element_batches(self):
         m = small_machine(victim_l3=True)
         batches = [(b[:1], w[:1]) for b, w in random_batches(7, 40)]
-        assert_same_state(replay(m, "scalar", batches),
-                          replay(m, "vector", batches))
+        assert_same_state(replay(m, ReferenceHierarchy, batches),
+                          replay(m, CacheHierarchy, batches))
 
 
 class TestPerLevelKernels:
@@ -184,8 +180,8 @@ class TestPerLevelKernels:
         m = self.HIERARCHIES[shape]
         capacity = sum(c.n_lines for c in m.caches)
         batches = walk_batches(seed, 6000, span=3 * capacity)
-        a = replay(m, "scalar", batches)
-        b = replay(m, "vector", batches)
+        a = replay(m, ReferenceHierarchy, batches)
+        b = replay(m, CacheHierarchy, batches)
         assert_same_state(a, b)
         # Every level saw both hits and misses.
         assert all(lvl.hits and lvl.misses for lvl in b.levels)
@@ -194,12 +190,12 @@ class TestPerLevelKernels:
     def test_uniform_random_matches_scalar(self, shape):
         m = self.HIERARCHIES[shape]
         batches = random_batches(5, span=2 * sum(c.n_lines for c in m.caches))
-        assert_same_state(replay(m, "scalar", batches),
-                          replay(m, "vector", batches))
+        assert_same_state(replay(m, ReferenceHierarchy, batches),
+                          replay(m, CacheHierarchy, batches))
 
     def test_single_access_path(self):
         m = self.HIERARCHIES["few-set-victim"]
-        a = CacheHierarchy(m, engine="scalar")
+        a = ReferenceHierarchy(m)
         b = CacheHierarchy(m)
         for lines, writes in walk_batches(3, 800, span=400):
             for line, write in zip(lines.tolist(), writes.tolist()):
@@ -209,13 +205,14 @@ class TestPerLevelKernels:
 
 
 def one_batch(machine: Machine, lines, writes=None):
-    """Replay one batch on both engines; return ``(scalar, vector)``."""
+    """Replay one batch through the reference and the batched engine;
+    return ``(reference, batched)``."""
     lines = np.asarray(lines, dtype=np.int64)
     if writes is None:
         writes = np.zeros(lines.shape[0], dtype=bool)
     return (
-        replay(machine, "scalar", [(lines, writes)]),
-        replay(machine, "vector", [(lines, writes)]),
+        replay(machine, ReferenceHierarchy, [(lines, writes)]),
+        replay(machine, CacheHierarchy, [(lines, writes)]),
     )
 
 
@@ -257,8 +254,8 @@ class TestStackDistanceKernel:
         rng = np.random.default_rng(4)
         warm = rng.integers(0, 64, size=200).astype(np.int64)
         warm_writes = rng.random(200) < 0.5
-        a = replay(m, "scalar", [(warm, warm_writes)])
-        b = replay(m, "vector", [(warm, warm_writes)])
+        a = replay(m, ReferenceHierarchy, [(warm, warm_writes)])
+        b = replay(m, CacheHierarchy, [(warm, warm_writes)])
         before = [lvl.lru_snapshot() for lvl in b.levels]
         # Only L1 sets 0 and 2 (L2 sets 0, 2, 4, 6) see this batch.
         lines = np.array([0, 2, 40, 42, 8, 0, 50, 2], dtype=np.int64)
@@ -295,7 +292,7 @@ def test_random_hierarchies_match_scalar_after_every_batch(
     machine = machine_of(*inner, (n_sets, assoc, victim and bool(inner)))
     capacity = sum(c.n_lines for c in machine.caches)
     rng = np.random.default_rng(seed)
-    a = CacheHierarchy(machine, engine="scalar")
+    a = ReferenceHierarchy(machine)
     b = CacheHierarchy(machine)
     for _ in range(n_batches):
         n = int(rng.integers(1, max_batch + 1))
@@ -323,12 +320,12 @@ class TestScaledSweepEquivalence:
         spec = get_stencil(stencil)
         grids = GridSet(spec, (15, 16, 17))
         plan = KernelPlan(block=block)
-        kwargs = dict(traffic_cache=None, predictor="simulate")
-        r_scalar = measure_sweep(
-            spec, grids, plan, machine, engine="scalar", **kwargs
+        r_reference = reference_sweep(spec, grids, plan, machine)
+        r_auto = measure_sweep(
+            spec, grids, plan, machine,
+            traffic_cache=None, predictor="simulate",
         )
-        r_auto = measure_sweep(spec, grids, plan, machine, **kwargs)
-        assert r_scalar.as_dict() == r_auto.as_dict()
+        assert r_reference.as_dict() == r_auto.as_dict()
 
 
 class TestSweepEquivalence:
@@ -339,26 +336,22 @@ class TestSweepEquivalence:
         spec = get_stencil(stencil)
         grids = GridSet(spec, (20, 20, 40))
         plan = KernelPlan(block=(10, 10, 40))
-        r_scalar = measure_sweep(
-            spec, grids, plan, machine, engine="scalar", traffic_cache=None
-        )
+        r_reference = reference_sweep(spec, grids, plan, machine)
         r_vector = measure_sweep(
-            spec, grids, plan, machine, engine="vector", traffic_cache=None
+            spec, grids, plan, machine, traffic_cache=None
         )
-        assert r_scalar.as_dict() == r_vector.as_dict()
+        assert r_reference.as_dict() == r_vector.as_dict()
 
     def test_2d_stencil_matches(self):
         machine = cascade_lake_sp().scaled_caches(1 / 8)
         spec = get_stencil("2d5pt")
         grids = GridSet(spec, (48, 96))
         plan = KernelPlan(block=(16, 96))
-        r_scalar = measure_sweep(
-            spec, grids, plan, machine, engine="scalar", traffic_cache=None
-        )
+        r_reference = reference_sweep(spec, grids, plan, machine)
         r_vector = measure_sweep(
-            spec, grids, plan, machine, engine="vector", traffic_cache=None
+            spec, grids, plan, machine, traffic_cache=None
         )
-        assert r_scalar.as_dict() == r_vector.as_dict()
+        assert r_reference.as_dict() == r_vector.as_dict()
 
 
 class TestBlockBatchStream:
@@ -366,8 +359,8 @@ class TestBlockBatchStream:
         spec = get_stencil("3d7pt")
         grids = GridSet(spec, (12, 12, 24))
         plan = KernelPlan(block=(6, 6, 24))
-        rows = list(sweep_stream(spec, grids, plan, batch="row"))
-        blocks = list(sweep_stream(spec, grids, plan, batch="block"))
+        rows = list(row_stream(spec, grids, plan))
+        blocks = list(sweep_stream(spec, grids, plan))
         assert len(blocks) < len(rows)
         row_lines = np.concatenate([l for l, _ in rows])
         row_writes = np.concatenate([w for _, w in rows])
@@ -380,10 +373,8 @@ class TestBlockBatchStream:
         spec = get_stencil("3d7pt")
         grids = GridSet(spec, (12, 12, 24))
         plan = KernelPlan(block=(4, 6, 8))
-        rows = list(sweep_stream(spec, grids, plan, z_range=(3, 9)))
-        blocks = list(
-            sweep_stream(spec, grids, plan, z_range=(3, 9), batch="block")
-        )
+        rows = list(row_stream(spec, grids, plan, z_range=(3, 9)))
+        blocks = list(sweep_stream(spec, grids, plan, z_range=(3, 9)))
         for i in (0, 1):
             np.testing.assert_array_equal(
                 np.concatenate([r[i] for r in rows]),
@@ -408,4 +399,6 @@ class TestCoalesceBatches:
         small = (np.arange(5, dtype=np.int64), np.ones(5, dtype=bool))
         joined = list(coalesce_batches([small, big, small], max_ops=10))
         assert [len(lines) for lines, _ in joined] == [5, 50, 5]
+        # A batch with no neighbour to join is passed on, not copied.
+        assert all(j[0] is b[0] for j, b in zip(joined, [small, big, small]))
         assert list(coalesce_batches([], max_ops=10)) == []

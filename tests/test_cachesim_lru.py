@@ -5,7 +5,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cachesim import SetAssocCache
+from repro.cachesim.lru import SetAssocCache
 from repro.machine import CacheLevel
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cachesim import measure_sweep, stream_stats, sweep_stream
+from repro.cachesim import measure_sweep, sweep_stream
+from repro.cachesim.lru import row_stream
 from repro.codegen import KernelPlan
 from repro.grid import GridSet
 from repro.machine import generic_avx2
@@ -15,15 +16,15 @@ class TestStreamShape:
         spec = get_stencil("3d7pt")
         shape = (8, 8, 16)
         gs = GridSet(spec, shape)
-        stats = stream_stats(spec, gs, KernelPlan(block=shape))
-        assert stats["batches"] == 8 * 8  # one batch per (z, y) row
+        rows = list(row_stream(spec, gs, KernelPlan(block=shape)))
+        assert len(rows) == 8 * 8  # one batch per (z, y) row
 
     def test_blocking_multiplies_rows(self):
         spec = get_stencil("3d7pt")
         shape = (8, 8, 16)
         gs = GridSet(spec, shape)
-        stats = stream_stats(spec, gs, KernelPlan(block=(4, 4, 16)))
-        assert stats["batches"] == 8 * 8  # same rows, different order
+        rows = list(row_stream(spec, gs, KernelPlan(block=(4, 4, 16))))
+        assert len(rows) == 8 * 8  # same rows, different order
 
     def test_store_lines_marked_write(self):
         spec = get_stencil("3d7pt")
@@ -43,7 +44,7 @@ class TestStreamShape:
         spec = get_stencil("3d7pt")
         shape = (8, 4, 16)
         gs = GridSet(spec, shape)
-        batches = list(sweep_stream(spec, gs, KernelPlan(block=shape), z_range=(2, 5)))
+        batches = list(row_stream(spec, gs, KernelPlan(block=shape), z_range=(2, 5)))
         assert len(batches) == 3 * 4
 
     def test_all_input_lines_touched(self):

@@ -139,3 +139,47 @@ def test_the_repro_guard_sees_the_repro_imports():
     # An empty scan would pass both repro guards vacuously.
     names = {name for _, name in _imports() if _top(name) == "repro"}
     assert {"repro.dist", "repro.dist.scaling", "repro.engine"} <= names
+
+
+REFERENCE = ROOT / "src" / "repro" / "cachesim" / "lru.py"
+
+
+def _modules_imported_by(path: Path) -> set[str]:
+    """Every module a file under ``src`` names in an import.
+
+    Relative imports are resolved against the file's package, and
+    ``from package import name`` counts ``package.name`` as well, since
+    the name may be a submodule.
+    """
+    package = path.relative_to(ROOT / "src").with_suffix("").parts[:-1]
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) + 1 - node.level]
+            if node.level == 0:
+                base = ()
+            module = ".".join(base + tuple(filter(None, [node.module])))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_tests_and_benchmarks_import_the_reference_replay():
+    # The per-access reference is slow on purpose; a library import
+    # would put it back on a replay path.
+    importers = sorted(
+        path.relative_to(ROOT).as_posix()
+        for path in (ROOT / "src" / "repro").rglob("*.py")
+        if path != REFERENCE
+        and "repro.cachesim.lru" in _modules_imported_by(path)
+    )
+    assert not importers, (
+        "library modules import the reference replay repro.cachesim.lru:\n"
+        + "\n".join(importers)
+    )
+    # The scan resolves absolute, relative and submodule imports.
+    driver = _modules_imported_by(REFERENCE.with_name("driver.py"))
+    assert "repro.cachesim.hierarchy" in driver
+    assert "repro.cachesim.hierarchy" in _modules_imported_by(REFERENCE)

@@ -1,9 +1,12 @@
 """Offsite tests: kernels, variants, numerics, prediction, ranking."""
 
+from math import prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cachesim.lru import replay_reference
 from repro.codegen import KernelPlan
 from repro.codegen.plan import candidate_blocks
 from repro.ecm import boundary_traffic
@@ -20,6 +23,7 @@ from repro.offsite import (
     pirk_variants,
     predict_kernel,
 )
+from repro.offsite.composite import kernel_stream
 from repro.offsite.tuner import kendall_tau, rank_variants
 from repro.stencil.builders import star
 
@@ -174,20 +178,19 @@ class TestPredictMeasure:
 
     @pytest.mark.parametrize("variant", range(4))
     def test_coalesced_replay_matches_scalar_rows(self, variant):
-        # The batched engine replays joined row batches; the scalar
+        # The batched engine replays joined row batches; the per-access
         # reference replays them one row at a time.
         kernel = pirk_variants(4)[variant].kernels[-1][0]
         grids = VariantGrids(kernel.grids, self.shape, halo=1)
         plan = KernelPlan(block=(4, 8, 32))
-        runs = [
-            measure_kernel(
-                kernel, grids, plan, self.machine,
-                engine=engine, traffic_cache=None,
-            )
-            for engine in ("scalar", "auto")
-        ]
-        assert runs[0][0] == runs[1][0]
-        assert runs[0][1].as_dict() == runs[1][1].as_dict()
+        _, traffic = measure_kernel(
+            kernel, grids, plan, self.machine, traffic_cache=None
+        )
+        reference = replay_reference(
+            self.machine, lambda: kernel_stream(kernel, grids, plan, 3),
+            lups=prod(self.shape),
+        )
+        assert traffic.as_dict() == reference.as_dict()
 
     def test_more_streams_cost_more(self):
         variants = {v.name: v for v in pirk_variants(4)}

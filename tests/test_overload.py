@@ -35,12 +35,12 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.cost import classify
 from repro.service.jobs import normalize_tune
+from repro.service.metrics import LatencyReservoir
 from repro.service.overload import (
     BROWNOUT_STAGES,
     DEADLINE_HEADER,
     AdaptiveLimiter,
     BrownoutLadder,
-    ClassLatencyTracker,
     deadline_from_headers,
     format_deadline_ms,
 )
@@ -103,7 +103,7 @@ class TestDeadlineHeader:
 
 class TestClassLatencyTracker:
     def test_no_p95_until_enough_samples(self):
-        tracker = ClassLatencyTracker()
+        tracker = LatencyReservoir(64)
         for value in (0.1, 0.2, 0.3):
             tracker.record(value)
             assert tracker.p95() is None
@@ -111,7 +111,7 @@ class TestClassLatencyTracker:
         assert tracker.p95() == pytest.approx(0.4)
 
     def test_p95_tracks_the_tail_over_the_window(self):
-        tracker = ClassLatencyTracker(window=20)
+        tracker = LatencyReservoir(capacity=20)
         for _ in range(18):
             tracker.record(0.01)
         tracker.record(5.0)

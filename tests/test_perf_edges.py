@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cachesim import CacheHierarchy, sweep_stream
+from repro.cachesim.lru import row_stream
 from repro.codegen import KernelPlan
 from repro.grid import GridSet
 from repro.machine import generic_avx2
@@ -62,7 +63,7 @@ class TestStreamEdges:
         spec = get_stencil("3d7pt")
         gs = GridSet(spec, (8, 8, 16))
         batches = list(
-            sweep_stream(
+            row_stream(
                 spec, gs, KernelPlan(block=(8, 8, 16)), z_range=(0, 100)
             )
         )

@@ -40,7 +40,6 @@ CLI_DEFAULTS = {
     "drain_timeout_s": 30.0,
     "db_path": None,
     "max_body_bytes": 1048576,
-    "latency_reservoir": 2048,
     "breaker_threshold": 5,
     "breaker_recovery_s": 30.0,
     "degraded_mode": True,

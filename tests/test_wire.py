@@ -314,14 +314,23 @@ def _swept(bg, monkeypatch):
     return answer[0]
 
 
-def _job_raises(bg, monkeypatch):
+def _job_raises(bg, monkeypatch, exc=RuntimeError("boom")):
     def boom(payload):
-        raise RuntimeError("boom")
+        raise exc
 
     monkeypatch.setitem(
         jobs.JOBS, "/predict", (jobs.normalize_predict, boom)
     )
     return _send(bg.port, "/predict", _predict(34))
+
+
+def _job_times_out(bg, monkeypatch):
+    # A job's own TimeoutError is a job failure, although on Python
+    # 3.11+ it is the class an expired wait raises too.
+    answer = _job_raises(bg, monkeypatch, TimeoutError("lease held"))
+    breaker = bg.service.breakers["/predict"].snapshot()
+    assert breaker["consecutive_failures"] == 1
+    return answer
 
 
 _BROWNOUT = dict(slo_enabled=True, brownout=True, brownout_recover_s=3600.0)
@@ -424,6 +433,10 @@ OUTCOMES = {
         dict.fromkeys(_NCE, 1))),
     "500": ({}, _job_raises, "/predict", _pin(
         500, {"error": "RuntimeError: boom"},
+        {"failed": 1}, ("failed", None, "cheap", "-", _NCE),
+        dict.fromkeys(_NCE, 1))),
+    "500-job-timeout": ({}, _job_times_out, "/predict", _pin(
+        500, {"error": "TimeoutError: lease held"},
         {"failed": 1}, ("failed", None, "cheap", "-", _NCE),
         dict.fromkeys(_NCE, 1))),
 }
