@@ -12,22 +12,25 @@ fabric behind the consistent-hash router, in three phases:
   shed (HTTP 429) and degraded responses are *reported as rates*, not
   asserted, because whether a burst sheds depends on queue headroom.
 
-A fourth phase (``bench_cost_isolation``) turns cost routing on against
-a single-process server: greedy tune sweeps saturate the dedicated
-expensive queue while cheap analytic predicts are latency-probed — the
-cheap p95 must not collapse (``cheap_isolation_ratio``), and the cheap
-lane must never shed.
+A fourth phase (``bench_cost_isolation``) runs a single-process server
+as ``repro serve`` ships it (expensive jobs on a process pool):
+exhaustive tune sweeps, each priced expensive, saturate the pool while
+cheap analytic predicts, which run on the server's own threads, are
+latency-probed — the cheap p95 must not collapse
+(``cheap_isolation_ratio``), and the cheap lane must never shed.
 
 A fifth phase (``bench_overload``) sends a storm of greedy tunes, none
 of them repeated, against a plain one-worker server and one with the
 overload stack armed (SLO burn alerts -> brownout ladder + adaptive
-limits): the plain server's predicts starve behind the sweeps while
-the armed one pages, browns out, and keeps answering predicts from the
-analytic model.  The headline is ``overload_goodput_ratio`` (armed /
-plain predict goodput, >= 1 required) plus the guards that the ladder
-actually engaged and that no storm tune was answered from the response
-cache (``overload_storm_cache_hits``, which would mean the storm no
-longer loads the pool).
+limits).  Every storm tune prices cheap, so the storm and the predicts
+share the server's one cheap-lane thread: the plain server's predicts
+starve behind the sweeps while the armed one pages, browns out, and
+keeps answering predicts from the analytic model.  The headline is
+``overload_goodput_ratio`` (armed / plain predict goodput, >= 1
+required) plus the guards that the ladder actually engaged and that no
+storm tune was answered from the response cache
+(``overload_storm_cache_hits``, which would mean the storm no longer
+loads the lane).
 
 After the fabric run the job ledger must be fully drained (no pending
 tune job without a published result) and every shard still healthy —
@@ -222,29 +225,20 @@ def drive(host: str, port: int, quick: bool) -> dict:
 
 
 def bench_cost_isolation(quick: bool) -> dict:
-    """Cheap-lane latency while the expensive queue is saturated.
+    """Cheap-lane latency while the expensive lane is saturated.
 
-    With cost routing on and a dedicated one-worker expensive pool,
-    multi-second greedy tune sweeps are parked on their own queue; the
-    cheap lane (analytic predicts) must keep serving at its idle
+    Exhaustive tune sweeps, each priced expensive (0.27-0.66 s), queue
+    on the default two-slot process pool; the cheap lane (analytic
+    predicts on the server's threads) must keep serving at its idle
     latency.  Reported as ``cheap_isolation_ratio`` = idle p95 /
     saturated p95 — near 1.0 when isolation holds, collapsing toward 0
     if expensive work blocks the cheap lane.
     """
     n_cheap = 24 if quick else 64
-    cfg = ServiceConfig(
-        port=0,
-        executor="thread",
-        workers=4,
-        queue_limit=256,
-        cost_routing=True,
-        cost_threshold_s=1e-3,
-        expensive_workers=1,
-        expensive_queue_limit=8,
-    )
+    cfg = ServiceConfig(port=0, queue_limit=256)
     tune_items = [
         {"stencil": s, "grid": [24, 24, 32], "machine": m,
-         "tuner": "greedy", "cache_scale": SCALE}
+         "tuner": "exhaustive", "cache_scale": SCALE}
         for s in ("3d7pt", "heat3d") for m in ("clx", "rome")
     ]
 
@@ -269,7 +263,7 @@ def bench_cost_isolation(quick: bool) -> dict:
                 pool.submit(client.request, "POST", "/tune", item)
                 for item in tune_items
             ]
-            # Wait until the expensive queue actually has work parked.
+            # Wait until the expensive lane actually has work parked.
             deadline = time.time() + 10.0
             while time.time() < deadline:
                 if (bg.service.dispatcher.queue_snapshot()["expensive"]
@@ -298,7 +292,7 @@ def bench_cost_isolation(quick: bool) -> dict:
 
 
 #: SLO for the overload phase: tight windows and a low page threshold
-#: so a saturated one-worker pool pages within a second or two, letting
+#: so a saturated one-worker lane pages within a second or two, letting
 #: the brownout ladder engage inside a benchmark-sized run.
 OVERLOAD_SLO = {
     "windows": {"page": [0.5, 1.0], "warn": [1.5, 3.0]},
@@ -343,7 +337,7 @@ def storm_payloads(seed: int = SEED) -> collections.deque:
     :func:`bench_overload` draw from one deque, so no payload is ever
     sent twice: a repeated tune would be answered from the response
     cache (or replayed from the process-wide traffic memo) and would
-    no longer load the one-worker pool.
+    no longer load the one-worker lane.
     """
     volume = 16 ** 3
     payloads = [
@@ -367,11 +361,11 @@ def storm_payloads(seed: int = SEED) -> collections.deque:
 def _overload_drive(
     resilient: bool, quick: bool, tunes: collections.deque
 ) -> dict:
-    """Predict goodput while greedy tunes saturate a one-worker pool.
+    """Predict goodput while greedy tunes saturate a one-worker lane.
 
     The same storm hits a plain server and one with the overload stack
     armed (SLO burn -> brownout ladder + adaptive limits): the plain
-    server's predicts starve behind multi-second tune sweeps, the
+    server's predicts starve behind the tune sweeps, the
     resilient one pages, browns out, and keeps serving predicts from
     the analytic model.  Each storm tune is taken off ``tunes`` (see
     :func:`storm_payloads`); a storm thread stops when it is empty.
@@ -447,7 +441,7 @@ def _overload_drive(
                 except ServiceError as err:
                     tag = f"http_{err.status}"
                 except Exception:
-                    tag = "starved"  # socket timeout: the pool is busy
+                    tag = "starved"  # socket timeout: the lane is busy
                 else:
                     tag = "ok"
                     with probe_lock:
@@ -674,7 +668,7 @@ def main(argv=None) -> int:
         print("FAIL: fabric lost tune jobs", file=sys.stderr)
         return 1
     if result["cost"]["cheap_shed"]:
-        print("FAIL: cheap lane shed while only the expensive queue "
+        print("FAIL: cheap lane shed while only the expensive lane "
               "was saturated", file=sys.stderr)
         return 1
     if not (result["fabric_healthy_after"]

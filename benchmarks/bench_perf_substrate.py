@@ -43,7 +43,7 @@ import sys
 import time
 
 from repro.blocking.spatial import analytic_block_selection
-from repro.cachesim import TrafficCache, measure_sweep, prefix_stats
+from repro.cachesim import TrafficCache, driver, measure_sweep, prefix_stats
 from repro.cachesim.dispatch import predictor_counters
 from repro.cachesim.lru import reference_sweep
 from repro.codegen.plan import KernelPlan, candidate_plans
@@ -86,6 +86,11 @@ SELECT_GRIDS = [
     (32, 31, 32),
 ]
 SELECT_PASSES = 10
+
+#: Cold ``simulate_kernel`` repeats (best of) and memoized calls per
+#: timed batch (best of 3 batches) of the memoization comparison.
+MEMO_COLD_REPEATS = 5
+MEMO_CALLS = 50
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -256,29 +261,37 @@ def bench_block_select(quick: bool) -> dict:
 
 
 def bench_memoization(quick: bool) -> dict:
-    """Time cold vs. memoized simulate_kernel on one configuration."""
+    """Time cold vs. memoized simulate_kernel on one configuration.
+
+    The cold leg is the best of ``MEMO_COLD_REPEATS`` calls, each as
+    cold as the first: a fresh :class:`TrafficCache` and an empty
+    shared sweep-prefix cache, which ``simulate_kernel`` replays
+    through.  The memoized leg is the mean call of a batch of
+    ``MEMO_CALLS`` traffic-cache hits, best of 3 batches: one hit takes
+    0.1-0.3 ms, too short to time alone.
+    """
     machine = cascade_lake_sp()
     name, shape, block = ("3d7pt", (32, 32, 64), (16, 16, 64))
     spec = get_stencil(name)
     grids = GridSet(spec, shape)
     plan = KernelPlan(block=block)
-    cache = TrafficCache()
 
-    t0 = time.perf_counter()
-    cold = simulate_kernel(
-        spec, grids, plan, machine, seed=0, traffic_cache=cache
-    )
-    t_cold = time.perf_counter() - t0
-
-    t_warm = _best_of(
-        lambda: simulate_kernel(
+    def run(cache: TrafficCache):
+        return simulate_kernel(
             spec, grids, plan, machine, seed=0, traffic_cache=cache
-        ),
-        3,
-    )
-    warm = simulate_kernel(
-        spec, grids, plan, machine, seed=0, traffic_cache=cache
-    )
+        )
+
+    def cold_run():
+        driver._PREFIX_CACHE.clear()
+        return run(TrafficCache())
+
+    t_cold = _best_of(cold_run, MEMO_COLD_REPEATS)
+    cache = TrafficCache()
+    cold = run(cache)
+    t_warm = _best_of(
+        lambda: [run(cache) for _ in range(MEMO_CALLS)], 3
+    ) / MEMO_CALLS
+    warm = run(cache)
     if warm.cycles_per_lup != cold.cycles_per_lup:
         raise AssertionError("memoized measurement differs from cold run")
     return {

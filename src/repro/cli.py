@@ -76,10 +76,12 @@ EXPERIMENTS = {
 SERVE_FLAGS = (
     ("--host", "host", str, "bind address"),
     ("--port", "port", int, "0 picks an ephemeral port"),
-    ("--workers", "workers", int, "worker-pool size"),
-    ("--executor", "executor", ("process", "thread"), "worker-pool kind"),
+    ("--workers", "workers", int,
+     "threads of the cheap lane and slots of the expensive pool"),
+    ("--executor", "executor", ("process", "thread"),
+     "kind of pool expensive jobs run on"),
     ("--queue-limit", "queue_limit", int,
-     "max in-flight jobs before load-shedding (HTTP 429)"),
+     "max in-flight jobs per cost class before load-shedding (HTTP 429)"),
     ("--cache-size", "response_cache_size", int,
      "response LRU capacity (entries)"),
     ("--timeout", "request_timeout_s", float,
@@ -100,22 +102,6 @@ SERVE_FLAGS = (
      "fabric tune-job lease TTL in seconds"),
     ("--steal-interval", "steal_interval_s", float,
      "idle-shard work-stealing scan period in seconds (fabric mode)"),
-    ("--cost-routing", "cost_routing", bool,
-     "classify jobs by analytic cost at admission and route them to "
-     "separate cheap/expensive queues"),
-    ("--cost-threshold", "cost_threshold_s", float,
-     "estimated job seconds at which a job classes as expensive"),
-    ("--cheap-queue-limit", "cheap_queue_limit", int,
-     "admission bound of the cheap queue (default: --queue-limit)"),
-    ("--expensive-queue-limit", "expensive_queue_limit", int,
-     "admission bound of the expensive queue (default: --queue-limit)"),
-    ("--cheap-timeout", "cheap_timeout_s", float,
-     "cheap-queue request deadline in seconds (default: --timeout)"),
-    ("--expensive-timeout", "expensive_timeout_s", float,
-     "expensive-queue request deadline in seconds (default: --timeout)"),
-    ("--expensive-workers", "expensive_workers", int,
-     "dedicated pool slots for the expensive queue (default: share "
-     "the main pool)"),
     ("--approx", "approx_enabled", bool,
      "serve near-match approximate answers (interpolated from stored "
      "exact results; responses carry approximate+confidence)"),
@@ -127,10 +113,10 @@ SERVE_FLAGS = (
     ("--adaptive-limits", "adaptive_limits", bool,
      "AIMD adaptive per-class admission limits: grow on healthy "
      "latency, halve when a class's windowed p95 breaches its target "
-     "(static limit stays the hard ceiling, floor 1)"),
+     "(--queue-limit stays the hard ceiling, floor 1)"),
     ("--adaptive-target-ms MS", "adaptive_target_ms", float,
      "latency target of the cheap class's adaptive limiter (the "
-     "expensive class targets half its own deadline)"),
+     "expensive class targets half of --timeout)"),
     ("--brownout", "brownout", bool,
      "SLO-burn-driven brownout ladder: sustained page alerts degrade "
      "in stages (widen approx acceptance, serve /predict "

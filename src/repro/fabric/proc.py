@@ -14,7 +14,7 @@ shard's :class:`~repro.service.config.ServiceConfig` from the
 with one ``dataclasses.replace`` (:func:`shard_service_config`), brings
 the set up, tears it down (SIGTERM → join → SIGKILL), and restarts
 dead shards within a per-shard budget.  A shard answers SIGTERM like
-the single server does: it drains, joins its worker pool and exits.
+the single server does: it drains, joins both lanes and exits.
 Restart is the router's *recovery* path; the job ledger is the
 *correctness* path — a killed shard's in-flight tunes are adopted by
 survivors whether or not a replacement comes up.

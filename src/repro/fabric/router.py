@@ -24,7 +24,7 @@ Failure semantics:
   HTTP errors are **not** rerouted: the response (504, 500, 429...) is
   relayed as-is, because the job may still be running and a reroute
   would double-execute it.  A forward times out (502) only past the
-  shard template's longest class deadline plus 5 s, so a shard's own
+  shard template's ``request_timeout_s`` plus 5 s, so a shard's own
   deadline (504) always answers first.  The forward deadline is one
   loop timer per exchange, not a task: when it fires it closes the
   connection, and the exchange reports the timeout — never "closed
@@ -58,7 +58,6 @@ from repro.engine import parse_request
 from repro.fabric.config import FabricConfig
 from repro.fabric.proc import FabricSupervisor
 from repro.fabric.ring import HashRing
-from repro.service.cost import JOB_CLASSES
 from repro.service.http1 import (
     Http1Server,
     NoResponse,
@@ -116,9 +115,8 @@ class FabricRouter(Http1Server):
         # request gets the same 413 with or without a router.
         super().__init__(config.shard.max_body_bytes)
         self.config = config
-        self._forward_timeout_s = _FORWARD_SLACK_S + max(
-            config.shard.class_timeout_s(job_class)
-            for job_class in JOB_CLASSES
+        self._forward_timeout_s = (
+            config.shard.request_timeout_s + _FORWARD_SLACK_S
         )
         self.supervisor = supervisor
         self.ports: dict[str, int] = {

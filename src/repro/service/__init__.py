@@ -3,10 +3,11 @@
 A stdlib-only HTTP JSON service in front of the ECM/cache-simulation
 pipeline: ``/predict`` (single-core ECM prediction), ``/tune`` (tuner
 run + ledger), ``/rank`` (Offsite variant ranking), ``/healthz`` and
-``/metrics``.  Internally it layers request coalescing and batching
-onto a worker pool behind tiered caches (response LRU → traffic memo
-→ tuning database), with admission control, per-request timeouts and
-graceful drain.  Start one with ``python -m repro serve``.
+``/metrics``.  Internally it layers request coalescing and
+cost-classed admission (cheap jobs on threads of the server process,
+expensive ones on a pool) behind tiered caches (response LRU → traffic
+memo → tuning database), with per-request timeouts and graceful
+drain.  Start one with ``python -m repro serve``.
 """
 
 from repro.service.background import BackgroundServer

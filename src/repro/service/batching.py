@@ -1,33 +1,36 @@
-"""Request coalescing + batching onto a worker pool, with admission.
+"""Request coalescing and cost-classed admission onto two lanes.
 
-The dispatcher owns the executor (thread or process pool — job bodies
-in :mod:`repro.service.jobs` are picklable top-level functions so both
-work) and keeps one task per distinct in-flight request key: a second
-identical request *joins* the running task instead of re-executing it
-(coalescing).  Heterogeneous requests batch naturally — each fresh job
-is one pool item, and the pool's ``workers`` slots drain the queue.
+The dispatcher keeps one task per distinct in-flight request key: a
+second identical request *joins* the running task instead of
+re-executing it (coalescing).  Every fresh job runs in the lane of its
+cost class (:func:`repro.service.cost.classify`):
+
+* ``cheap`` jobs (predictions, ECM tunes, unvalidated rankings, small
+  sweeps) run in the server process, on ``workers`` threads;
+* ``expensive`` jobs run on a pool of ``workers`` slots, created on
+  first use: processes (``executor="process"``, the default) or
+  threads.  A process pool starts its workers with the ``spawn``
+  method, never by forking the server, whose lane threads may hold a
+  lock in the middle of a job; the server's fault plan reaches them
+  through the pool's initializer.
 
 Admission control is a bounded count of fresh in-flight jobs *per
-queue class*: cost-aware routing (``config.cost_routing``) splits
-admissions into a ``cheap`` and an ``expensive`` queue with their own
-limits and deadlines, so a burst of multi-second tune sweeps saturates
-its own queue instead of shedding microsecond predictions.  With
-routing off everything rides the ``cheap`` queue under the legacy
-``queue_limit`` — behavior is byte-identical to the single-queue
-dispatcher.  Beyond a class's limit the dispatcher sheds (the server
-turns that into HTTP 429).
+class*: each class admits up to ``queue_limit`` jobs of its own, so a
+burst of multi-second tune sweeps saturates its own lane instead of
+shedding microsecond predictions.  Beyond it the dispatcher sheds (the
+server turns that into HTTP 429).
 
 Two overload-control layers ride on top (see
 :mod:`repro.service.overload`):
 
 * A fresh job carrying a propagated deadline is wrapped in a *sweep
-  guard*: if the deadline expired while the job sat in the pool queue,
-  the worker raises :class:`DeadlineSwept` at dequeue instead of
-  executing for a caller that already gave up.  Per-class
+  guard*: if the deadline expired while the job sat in its lane's
+  queue, the worker raises :class:`DeadlineSwept` at dequeue instead
+  of executing for a caller that already gave up.  Per-class
   ``admitted``/``executed``/``swept`` counters keep the invariant
   ``admitted == executed + swept`` once the queue drains.
 * With ``config.adaptive_limits`` each class's admission bound becomes
-  ``min(static limit, AIMD limit)``; finished fresh jobs feed their
+  ``min(queue_limit, AIMD limit)``; finished fresh jobs feed their
   total latency back into the limiter and the per-class latency
   window (which deadline admission consults for the observed p95).
 """
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import multiprocessing
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Awaitable, Callable
 
+from repro import faults
 from repro.service.config import ServiceConfig
 from repro.service.cost import JOB_CLASSES
 from repro.service.metrics import LatencyReservoir
@@ -57,7 +62,7 @@ class DeadlineSwept(RuntimeError):
 
 
 def _deadline_guarded(deadline_epoch: float, fn, payload: dict) -> dict:
-    """Top-level (picklable) sweep guard run inside the pool worker:
+    """Top-level (picklable) sweep guard run by the lane's worker:
     a job whose caller's deadline already passed is dropped at dequeue
     instead of executed."""
     now = time.time()
@@ -68,18 +73,24 @@ def _deadline_guarded(deadline_epoch: float, fn, payload: dict) -> dict:
     return fn(payload)
 
 
+def _pool_init(fault_specs: tuple) -> None:
+    """Arm the server's fault plan in a pool worker, with fresh
+    per-process trigger state (a spawned worker inherits none)."""
+    faults.install(faults.FaultPlan(fault_specs) if fault_specs else None)
+
+
 class CoalescingDispatcher:
     """Deduplicate identical in-flight requests; bound fresh admissions.
 
     All methods must be called from the event-loop thread (the server's
-    request handlers); the executor threads/processes only ever see the
-    pure job functions.
+    request handlers); the lane threads and pool workers only ever see
+    the pure job functions.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self._executor: Executor | None = None
-        self._expensive_executor: Executor | None = None
+        # One executor per class, each created on first use.
+        self._lanes: dict[str, Executor] = {}
         self._inflight: dict[str, asyncio.Task] = {}
         # Fresh jobs admitted and not yet finished, per queue class.
         self._class_pending = {cls: 0 for cls in JOB_CLASSES}
@@ -96,7 +107,7 @@ class CoalescingDispatcher:
         if config.adaptive_limits:
             self._limiters = {
                 cls: AdaptiveLimiter(
-                    ceiling=config.class_queue_limit(cls),
+                    ceiling=config.queue_limit,
                     target_s=config.class_adaptive_target_s(cls),
                 )
                 for cls in JOB_CLASSES
@@ -110,42 +121,33 @@ class CoalescingDispatcher:
 
     @property
     def busy(self) -> int:
-        """Pool slots currently occupied (bounded by the pool sizes)."""
-        cheap = min(self._class_pending["cheap"], self.config.workers)
-        expensive = self._class_pending["expensive"]
-        if self.config.expensive_workers is not None:
-            return cheap + min(expensive, self.config.expensive_workers)
-        # Shared pool: both classes compete for the same slots.
-        return min(self.pending, self.config.workers)
+        """Lane slots currently occupied, summed over both lanes (each
+        has ``workers`` slots)."""
+        workers = self.config.workers
+        return sum(min(n, workers) for n in self._class_pending.values())
 
     @property
     def queue_depth(self) -> int:
-        """Jobs admitted but waiting for a free pool slot."""
-        return max(0, self.pending - self.busy)
+        """Jobs admitted but waiting for a free slot in their lane."""
+        return self.pending - self.busy
 
     @property
     def utilization(self) -> float:
-        """Busy fraction of the pools in [0, 1]."""
-        slots = self.config.workers + (self.config.expensive_workers or 0)
-        return self.busy / slots
+        """Busy fraction of both lanes' slots, in [0, 1]."""
+        return self.busy / (len(JOB_CLASSES) * self.config.workers)
 
     def queue_snapshot(self) -> dict:
-        """Per-class queue gauges for ``/metrics``.
-
-        Always two classes; with routing off the ``expensive`` row is
-        all-idle (everything admits as ``cheap``), so dashboards keep a
-        stable schema either way.
-        """
+        """Per-class queue gauges for ``/metrics``."""
+        workers = self.config.workers
         snapshot = {}
         for cls in JOB_CLASSES:
             pending = self._class_pending[cls]
-            workers = self._class_workers(cls)
             snapshot[cls] = {
                 "pending": pending,
                 "depth": max(0, pending - workers),
-                "limit": self.config.class_queue_limit(cls),
+                "limit": self.config.queue_limit,
                 "shed": self._class_shed[cls],
-                "deadline_s": self.config.class_timeout_s(cls),
+                "deadline_s": self.config.request_timeout_s,
                 "workers": workers,
             }
             # The adaptive gauge appears only when the limiter is on,
@@ -175,9 +177,9 @@ class CoalescingDispatcher:
         return {"classes": classes}
 
     def class_limit(self, job_class: str) -> int:
-        """The admission bound in force: the static class limit, further
+        """The admission bound in force: ``queue_limit``, further
         tightened by the AIMD limiter when adaptive limits are on."""
-        limit = self.config.class_queue_limit(job_class)
+        limit = self.config.queue_limit
         if self._limiters is not None:
             limit = min(limit, self._limiters[job_class].limit)
         return limit
@@ -187,35 +189,26 @@ class CoalescingDispatcher:
         sample is too small to judge a deadline by)."""
         return self._trackers[job_class].p95()
 
-    def _class_workers(self, job_class: str) -> int:
-        if (
-            job_class == "expensive"
-            and self.config.expensive_workers is not None
-        ):
-            return self.config.expensive_workers
-        return self.config.workers
-
     # -- lifecycle ------------------------------------------------------
-    def _make_executor(self, workers: int) -> Executor:
-        if self.config.executor == "process":
-            return ProcessPoolExecutor(max_workers=workers)
-        return ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-service"
-        )
-
-    def _ensure_executor(self, job_class: str = "cheap") -> Executor:
-        if (
-            job_class == "expensive"
-            and self.config.expensive_workers is not None
-        ):
-            if self._expensive_executor is None:
-                self._expensive_executor = self._make_executor(
-                    self.config.expensive_workers
-                )
-            return self._expensive_executor
-        if self._executor is None:
-            self._executor = self._make_executor(self.config.workers)
-        return self._executor
+    def _lane(self, job_class: str) -> Executor:
+        """The executor of one class, created on first use."""
+        lane = self._lanes.get(job_class)
+        if lane is not None:
+            return lane
+        workers = self.config.workers
+        if job_class == "expensive" and self.config.executor == "process":
+            lane = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_pool_init,
+                initargs=(faults.active_specs(),),
+            )
+        else:
+            lane = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix=f"repro-{job_class}"
+            )
+        self._lanes[job_class] = lane
+        return lane
 
     async def drain(self, timeout: float) -> bool:
         """Wait for all in-flight jobs; ``True`` if everything finished."""
@@ -225,23 +218,19 @@ class CoalescingDispatcher:
         done, pending = await asyncio.wait(tasks, timeout=timeout)
         return not pending
 
-    def _release_executors(self) -> list[Executor]:
-        executors = [
-            executor
-            for executor in (self._executor, self._expensive_executor)
-            if executor is not None
-        ]
-        self._executor = self._expensive_executor = None
-        return executors
+    def _release_lanes(self) -> list[Executor]:
+        lanes = list(self._lanes.values())
+        self._lanes.clear()
+        return lanes
 
     def shutdown(self) -> None:
-        """Tear the pools down without waiting for their workers
+        """Tear the lanes down without waiting for their workers
         (cancels jobs still queued inside them)."""
-        for executor in self._release_executors():
-            executor.shutdown(wait=False, cancel_futures=True)
+        for lane in self._release_lanes():
+            lane.shutdown(wait=False, cancel_futures=True)
 
     async def join(self, timeout_s: float) -> None:
-        """Tear the pools down and wait, off the event loop, up to
+        """Tear the lanes down and wait, off the event loop, up to
         ``timeout_s`` for their workers to exit.
 
         A process that returns while its pool worker has not yet been
@@ -250,9 +239,9 @@ class CoalescingDispatcher:
         """
         joins = [
             asyncio.ensure_future(
-                asyncio.to_thread(executor.shutdown, cancel_futures=True)
+                asyncio.to_thread(lane.shutdown, cancel_futures=True)
             )
-            for executor in self._release_executors()
+            for lane in self._release_lanes()
         ]
         if joins:
             await asyncio.wait(joins, timeout=timeout_s)
@@ -279,7 +268,7 @@ class CoalescingDispatcher:
         waiters ride on.
 
         A ``deadline_epoch`` (absolute ``time.time()`` seconds) arms
-        the sweep guard: if it passes while the job waits for a pool
+        the sweep guard: if it passes while the job waits for a lane
         slot, the job raises :class:`DeadlineSwept` at dequeue instead
         of executing.  Coalesced waiters share the fresh dispatcher's
         deadline fate — a later arrival with more budget re-requests
@@ -323,7 +312,7 @@ class CoalescingDispatcher:
             loop = asyncio.get_running_loop()
             try:
                 result = await loop.run_in_executor(
-                    self._ensure_executor(job_class), fn, payload
+                    self._lane(job_class), fn, payload
                 )
             except DeadlineSwept:
                 swept = True
@@ -338,7 +327,7 @@ class CoalescingDispatcher:
                 self._class_swept[job_class] += 1
             else:
                 # Executed = the worker actually ran it (success or
-                # job failure alike — both consumed a pool slot).
+                # job failure alike — both consumed a lane slot).
                 self._class_executed[job_class] += 1
                 elapsed = time.perf_counter() - t0
                 self._trackers[job_class].record(elapsed)

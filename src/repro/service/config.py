@@ -26,19 +26,24 @@ class ServiceConfig:
         Bind address; ``port=0`` picks an ephemeral port (the bound
         port is returned by ``start()``).
     workers:
-        Size of the executor pool evaluating jobs.
+        Threads of the in-process lane that runs cheap jobs, and slots
+        of the pool that runs expensive ones (see
+        :mod:`repro.service.cost`).
     executor:
-        ``"process"`` (default; jobs are picklable top-level functions
-        in :mod:`repro.service.jobs`) or ``"thread"`` (cheaper startup,
-        used by tests and benchmarks).
+        Kind of pool expensive jobs run on: ``"process"`` (default;
+        workers start with the ``spawn`` method, and jobs are picklable
+        top-level functions in :mod:`repro.service.jobs`) or
+        ``"thread"`` (lets tests substitute closures for job bodies).
     queue_limit:
-        Admission control: maximum number of in-flight *fresh* jobs
-        (running + queued).  Requests beyond it are shed with HTTP 429.
+        Admission control, per cost class: maximum number of in-flight
+        *fresh* jobs of one class (running + queued).  Requests beyond
+        it are shed with HTTP 429.
     response_cache_size:
         Entries kept in the in-process LRU response cache (tier 1).
     request_timeout_s:
-        Per-request deadline; an expired request gets HTTP 504 (the
-        underlying job keeps running for coalesced waiters).
+        Per-request deadline of both cost classes; an expired request
+        gets HTTP 504 (the underlying job keeps running for coalesced
+        waiters).
     drain_timeout_s:
         On SIGTERM/``stop()``, how long to wait for in-flight requests
         before forcing shutdown.
@@ -79,24 +84,6 @@ class ServiceConfig:
         Period of the idle-shard work-stealing scan over ``job_dir``
         (0 disables stealing; rerouted requests still adopt).  Read
         only when ``job_dir`` is set, i.e. on fabric shards.
-    cost_routing:
-        Cost-aware admission: classify each fresh job at admission by
-        an analytic ECM cost estimate and route it to the ``cheap`` or
-        ``expensive`` queue, each with its own admission bound and
-        deadline.  Off by default — with routing off everything runs
-        through the ``cheap`` queue with the legacy ``queue_limit`` and
-        ``request_timeout_s``, byte-identical to the pre-split server.
-    cost_threshold_s:
-        Estimated job seconds at or above which a job is classed
-        expensive.
-    cheap_queue_limit, expensive_queue_limit:
-        Per-class admission bounds (``None`` → ``queue_limit``).
-    cheap_timeout_s, expensive_timeout_s:
-        Per-class request deadlines (``None`` → ``request_timeout_s``).
-    expensive_workers:
-        Pool slots dedicated to the expensive queue (``None`` → share
-        the main pool).  A separate pool keeps saturated tune work from
-        starving cheap predictions of executor slots.
     approx_enabled:
         Serve near-match approximate answers (interpolated from stored
         exact observations for the same request family with a nearby
@@ -108,17 +95,17 @@ class ServiceConfig:
     approx_capacity:
         Exact observations retained as interpolation support.
     adaptive_limits:
-        Replace the static per-class admission bounds with AIMD
+        Replace the static per-class admission bound with AIMD
         limiters (:class:`~repro.service.overload.AdaptiveLimiter`):
         grow on healthy latency, shrink multiplicatively when a class's
-        windowed p95 breaches its target.  The static class limit stays
-        as the hard ceiling (floor of 1), so the limiter only ever
+        windowed p95 breaches its target.  ``queue_limit`` stays as
+        the hard ceiling (floor of 1), so the limiter only ever
         tightens admission.  Off by default — with it off admission is
         byte-identical to the static-limit server.
     adaptive_target_ms:
         Latency target of the *cheap* class's limiter (default aligned
         with the shipped 500 ms latency SLO).  The expensive class
-        targets half its own request deadline — multi-second tune
+        targets half the request deadline — multi-second tune
         sweeps must not be judged by a prediction-latency bar.
     brownout:
         Arm the SLO-driven brownout ladder
@@ -170,13 +157,6 @@ class ServiceConfig:
     job_dir: str | None = None
     lease_ttl_s: float = 60.0
     steal_interval_s: float = 0.5
-    cost_routing: bool = False
-    cost_threshold_s: float = 0.25
-    cheap_queue_limit: int | None = None
-    expensive_queue_limit: int | None = None
-    cheap_timeout_s: float | None = None
-    expensive_timeout_s: float | None = None
-    expensive_workers: int | None = None
     approx_enabled: bool = False
     approx_confidence: float = 0.75
     approx_capacity: int = 512
@@ -215,18 +195,6 @@ class ServiceConfig:
             raise ValueError("lease_ttl_s must be positive")
         if self.steal_interval_s < 0:
             raise ValueError("steal_interval_s must be >= 0")
-        if self.cost_threshold_s <= 0:
-            raise ValueError("cost_threshold_s must be positive")
-        for name in ("cheap_queue_limit", "expensive_queue_limit"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("cheap_timeout_s", "expensive_timeout_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.expensive_workers is not None and self.expensive_workers <= 0:
-            raise ValueError("expensive_workers must be positive")
         if not 0.0 < self.approx_confidence <= 1.0:
             raise ValueError("approx_confidence must be in (0, 1]")
         if self.approx_capacity < 0:
@@ -249,32 +217,15 @@ class ServiceConfig:
         if self.flight_recorder < 0:
             raise ValueError("flight_recorder must be >= 0")
 
-    # -- per-class views (cost-aware admission) -------------------------
-    def class_queue_limit(self, job_class: str) -> int:
-        """Admission bound of one queue class."""
-        if self.cost_routing and job_class == "expensive":
-            return self.expensive_queue_limit or self.queue_limit
-        if self.cost_routing and job_class == "cheap":
-            return self.cheap_queue_limit or self.queue_limit
-        return self.queue_limit
-
-    def class_timeout_s(self, job_class: str) -> float:
-        """Request deadline of one queue class."""
-        if self.cost_routing and job_class == "expensive":
-            return self.expensive_timeout_s or self.request_timeout_s
-        if self.cost_routing and job_class == "cheap":
-            return self.cheap_timeout_s or self.request_timeout_s
-        return self.request_timeout_s
-
     def class_adaptive_target_s(self, job_class: str) -> float:
         """Latency target of one class's adaptive limiter.
 
         Cheap work answers to the interactive target
         (``adaptive_target_ms``); expensive work is healthy as long as
-        it clears well inside its own deadline, so it targets half the
-        class timeout (never tighter than the cheap target).
+        it clears well inside its deadline, so it targets half of
+        ``request_timeout_s`` (never tighter than the cheap target).
         """
         cheap_target = self.adaptive_target_ms / 1e3
         if job_class == "expensive":
-            return max(cheap_target, self.class_timeout_s("expensive") / 2.0)
+            return max(cheap_target, self.request_timeout_s / 2.0)
         return cheap_target

@@ -1,4 +1,4 @@
-"""Cost-aware admission: price a job analytically, route it by class.
+"""Cost-classed admission: price a job analytically, route it by class.
 
 The server must decide *before* running a job whether it is a
 microsecond analytic answer or a multi-second simulation sweep — after
@@ -7,8 +7,9 @@ normalized request with the analytic in-core ECM estimate
 (:func:`repro.perf.simulate.analytic_cycles_per_lup` — pure arithmetic
 over the stencil expression and the core description, no cache
 simulation) scaled by grid volume and the variant count the chosen
-tuner will sweep, and routes it to the ``cheap`` or ``expensive``
-queue.
+tuner will sweep.  A job priced at :data:`EXPENSIVE_S` or more runs in
+the ``expensive`` class, on the server's pool; every other job runs in
+the ``cheap`` class, on threads of the server process.
 
 The estimate is deliberately coarse: its only job is to keep
 multi-second tune sweeps from queueing ahead of microsecond
@@ -23,10 +24,13 @@ from math import prod
 
 from repro.store.tier import LruTier
 
-__all__ = ["classify", "JOB_CLASSES", "estimate_seconds"]
+__all__ = ["classify", "EXPENSIVE_S", "JOB_CLASSES", "estimate_seconds"]
 
 #: Queue classes, fastest first.
 JOB_CLASSES = ("cheap", "expensive")
+
+#: Estimated host seconds at or above which a job classes as expensive.
+EXPENSIVE_S = 0.25
 
 #: Simulated-replay slowdown: the exact cache simulator replays the
 #: access stream in Python, costing roughly this many host cycles per
@@ -102,9 +106,8 @@ def estimate_seconds(endpoint: str, normalized: dict) -> float:
     return 0.0
 
 
-def classify(
-    endpoint: str, normalized: dict, threshold_s: float
-) -> tuple[str, float]:
-    """``(job_class, estimated_seconds)`` for one normalized request."""
-    est = estimate_seconds(endpoint, normalized)
-    return ("expensive" if est >= threshold_s else "cheap"), est
+def classify(endpoint: str, normalized: dict) -> str:
+    """The queue class of one normalized request."""
+    if estimate_seconds(endpoint, normalized) >= EXPENSIVE_S:
+        return "expensive"
+    return "cheap"

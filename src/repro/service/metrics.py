@@ -6,7 +6,7 @@ Every POST request resolves to exactly **one** outcome —
 ``coalesced``    joined an identical in-flight request's future
 ``database``     served by the warm Offsite tuning database (tier 3)
 ``approximate``  interpolated from the near-match store tier
-``fresh``        executed on the worker pool
+``fresh``        executed in its cost class's lane
 ``degraded``     breaker open — served by the analytic fallback
 ``shed``         refused by admission control or an open breaker
 ``failed``       bad payload, job error or timeout
@@ -17,8 +17,8 @@ the soak test asserts that invariant through ``/metrics``.
 Tier ledgers come from the unified ``repro.store`` substrate: a tier
 either *reports itself* (an attached :class:`~repro.store.tier.Tier`
 whose own ledger is snapshotted) or is *recorded into* (counts arriving
-with results, e.g. the traffic memo deltas a tuner job carries back
-from its worker process).  Both shapes merge into one
+with results, e.g. the traffic memo deltas a tuner job reports with
+its result).  Both shapes merge into one
 ``{"hits", "misses", "puts", "evictions", "hit_rate"}`` row per tier,
 and ``hit_rate`` is ``None`` — never 0.0 — for an untouched tier.
 """
@@ -45,12 +45,11 @@ OUTCOMES = (
 
 #: Tiers pre-registered on every server so ``/metrics`` always exposes
 #: the full ledger table (all-zero rows for idle tiers) and the fabric
-#: fan-in can sum shard snapshots without schema drift.  ``traffic`` is
-#: the combined memo ledger kept for dashboard continuity;
-#: ``traffic-memory``/``traffic-disk`` split it by serving tier.
+#: fan-in can sum shard snapshots without schema drift.  The traffic
+#: memo has one ledger per serving tier: ``traffic-memory`` and
+#: ``traffic-disk``.
 TIER_NAMES = (
     "response",
-    "traffic",
     "traffic-memory",
     "traffic-disk",
     "database",

@@ -9,11 +9,13 @@ same name::
                 database tier (/rank, validate=false), then
                 the near-match tier (approximate answers)
     admit       brownout shed or degrade, the circuit        (untimed)
-                breaker, the queue class, deadline admission
+                breaker, the cost class, deadline admission
     execute     the analytic fallback, or: build the job     [execute]
                 payload, coalesce onto an identical in-flight
-                job or admit a fresh one to the class's pool
-                (429 when full; tier 2 traffic memo inside)
+                job or admit a fresh one to its class's lane:
+                cheap jobs on threads of this process,
+                expensive ones on the pool (429 when full;
+                tier 2 traffic memo inside)
     render      the envelope from the result's encoded bytes;
                 metrics, SLO observation, flight-recorder row
 
@@ -29,7 +31,7 @@ request after request on one socket until it says ``Connection:
 close``, goes idle past the read deadline, or the server drains.
 SIGTERM (or ``stop()``) drains gracefully: the listener and every idle
 connection close, in-flight requests finish within ``drain_timeout_s``
-(answered ``Connection: close``), then the pool shuts down.
+(answered ``Connection: close``), then both lanes shut down.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ class ReproService(Http1Server):
     async def stop(self, drain: bool = True) -> None:
         """Close the listener, optionally drain in-flight work, tear down.
 
-        With ``drain`` the whole stop, pool join included, gets
+        With ``drain`` the whole stop, lane joins included, gets
         ``drain_timeout_s``; without it nothing is waited for.
         """
         self.draining = True
@@ -482,7 +484,7 @@ class ReproService(Http1Server):
                 "endpoint": endpoint,
                 "breaker": breaker.snapshot(),
             }, breaker.retry_after_s())
-        job_class = post.job_class = self._job_class(endpoint, post.payload)
+        job_class = post.job_class = classify(endpoint, post.payload)
         post.note["queue_class"] = job_class
         if post.deadline is None:
             return None
@@ -500,16 +502,8 @@ class ReproService(Http1Server):
             "queue_class": job_class,
         }, (p95 or 0.0) - max(0.0, remaining_s))
 
-    def _job_class(self, endpoint: str, payload: dict) -> str:
-        """The queue class a job runs under: priced by
-        :func:`~repro.service.cost.classify` under cost routing, else
-        ``"cheap"`` (the single queue and its ``request_timeout_s``)."""
-        if not self.config.cost_routing:
-            return "cheap"
-        return classify(endpoint, payload, self.config.cost_threshold_s)[0]
-
     async def _execute(self, post: _Post) -> _Answer:
-        """Run the analytic fallback, or the job on its class's pool.
+        """Run the analytic fallback, or the job in its class's lane.
 
         Only the request that dispatched fresh work reports to the
         breaker (coalesced waiters would multiply one failure into N
@@ -528,7 +522,7 @@ class ReproService(Http1Server):
             )
         if mode != "fresh":
             breaker.release_probe()
-        timeout_s = self.config.class_timeout_s(post.job_class)
+        timeout_s = self.config.request_timeout_s
         wait_s = timeout_s
         if post.deadline is not None:
             wait_s = min(timeout_s, max(0.0, post.deadline - time.time()))
@@ -574,7 +568,7 @@ class ReproService(Http1Server):
 
     async def _fallback(self, post: _Post) -> _Answer:
         """The one analytic fallback: ECM-only on the loop's thread
-        executor, so the pool is never touched; marked degraded and
+        executor, so neither lane is touched; marked degraded and
         never cached, so a recovered backend answers for real again."""
         try:
             result = await asyncio.get_running_loop().run_in_executor(
@@ -628,7 +622,7 @@ class ReproService(Http1Server):
         if post.endpoint != "/tune":
             return post.payload
         payload = dict(post.payload)
-        deadline = time.time() + self.config.class_timeout_s(post.job_class)
+        deadline = time.time() + self.config.request_timeout_s
         if post.deadline is not None:
             deadline = min(deadline, post.deadline)
         payload["deadline"] = deadline
@@ -663,7 +657,6 @@ class ReproService(Http1Server):
         ledger = result.get("traffic_cache")
         if isinstance(ledger, dict):
             for tier, prefix in (
-                ("traffic", ""),
                 ("traffic-memory", "memory_"),
                 ("traffic-disk", "disk_"),
             ):
@@ -806,7 +799,7 @@ class ReproService(Http1Server):
         Every ``steal_interval_s`` an idle shard (no pending dispatcher
         work) scans ``job_dir`` for jobs whose lease is absent, expired
         or held by a dead pid, and runs each through the execute stage
-        under its own queue class.  The job body re-claims the lease
+        under its own cost class.  The job body re-claims the lease
         itself (the scan is advisory — a peer may win the race, in
         which case the body polls for the published result instead of
         recomputing).  Adopted runs resume from the dead owner's
@@ -834,7 +827,7 @@ class ReproService(Http1Server):
                 if not isinstance(key, str) or not isinstance(payload, dict):
                     continue
                 post = _Post("/tune", key=key, payload=payload)
-                post.job_class = self._job_class("/tune", payload)
+                post.job_class = classify("/tune", payload)
                 try:
                     mode, task = self._dispatch(post)
                 except Overloaded:

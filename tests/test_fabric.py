@@ -297,9 +297,10 @@ def _group_pids(pgid: int) -> list[int]:
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
 def test_sigterm_leaves_no_process_of_a_served_fabric(tmp_path):
-    """SIGTERM to ``repro serve --shards 2`` (process pools) drains the
-    router and every shard, and each shard joins its pool worker before
-    it exits: the whole process group is gone within 5 s."""
+    """SIGTERM to ``repro serve --shards 2`` drains the router and every
+    shard: the whole process group is gone within 5 s.  The predicts
+    run on shard threads; ``tests/test_drills.py`` drills a shard that
+    started its process pool."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     for run in range(3):
         proc = subprocess.Popen(

@@ -131,7 +131,7 @@ class TestAdoptedTune:
     def test_adopted_tune_takes_its_cost_class(self, tmp_path, monkeypatch):
         # The classifier prices this exhaustive sweep at about 0.4 s:
         # "expensive".  Adopted from the ledger, it must run in that
-        # class's pool under that class's deadline, like a client's.
+        # class's lane under the request deadline, like a client's.
         payload = normalize_tune(
             {"stencil": "3d7pt", "grid": [24, 24, 48], "tuner": "exhaustive"}
         )
@@ -148,8 +148,7 @@ class TestAdoptedTune:
         monkeypatch.setitem(JOBS, "/tune", (normalize_tune, adopted))
         config = ServiceConfig(
             port=0, executor="thread", workers=1, job_dir=str(tmp_path),
-            steal_interval_s=0.05, cost_routing=True, expensive_workers=1,
-            expensive_timeout_s=77.0,
+            steal_interval_s=0.05, request_timeout_s=77.0,
         )
         with BackgroundServer(config) as bg:
             start = time.time()

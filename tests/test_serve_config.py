@@ -48,13 +48,6 @@ CLI_DEFAULTS = {
     "job_dir": None,
     "lease_ttl_s": 60.0,
     "steal_interval_s": 0.5,
-    "cost_routing": False,
-    "cost_threshold_s": 0.25,
-    "cheap_queue_limit": None,
-    "expensive_queue_limit": None,
-    "cheap_timeout_s": None,
-    "expensive_timeout_s": None,
-    "expensive_workers": None,
     "approx_enabled": False,
     "approx_confidence": 0.75,
     "approx_capacity": 512,
@@ -74,9 +67,7 @@ CLI_FIELDS = (
     "host", "port", "workers", "executor", "queue_limit",
     "response_cache_size", "request_timeout_s", "drain_timeout_s",
     "db_path", "breaker_threshold", "breaker_recovery_s", "degraded_mode",
-    "lease_ttl_s", "steal_interval_s", "cost_routing", "cost_threshold_s",
-    "cheap_queue_limit", "expensive_queue_limit", "cheap_timeout_s",
-    "expensive_timeout_s", "expensive_workers", "approx_enabled",
+    "lease_ttl_s", "steal_interval_s", "approx_enabled",
     "approx_confidence", "approx_capacity", "adaptive_limits",
     "adaptive_target_ms", "brownout", "brownout_approx_confidence",
     "brownout_escalate_s", "brownout_recover_s", "slo_enabled",
@@ -87,7 +78,6 @@ CLI_FIELDS = (
 SWITCHES = {
     "--no-degraded": "degraded_mode",
     "--approx": "approx_enabled",
-    "--cost-routing": "cost_routing",
     "--adaptive-limits": "adaptive_limits",
     "--brownout": "brownout",
     "--slo": "slo_enabled",
@@ -100,10 +90,7 @@ EVERY_FLAG = [
     "--timeout", "41.5", "--drain-timeout", "7.5",
     "--breaker-threshold", "4", "--breaker-recovery", "12.5",
     "--no-degraded", "--lease-ttl", "45", "--steal-interval", "0.25",
-    "--cost-routing", "--cost-threshold", "0.5",
-    "--cheap-queue-limit", "11", "--expensive-queue-limit", "5",
-    "--cheap-timeout", "9", "--expensive-timeout", "90",
-    "--expensive-workers", "2", "--approx", "--approx-confidence", "0.6",
+    "--approx", "--approx-confidence", "0.6",
     "--approx-capacity", "100", "--adaptive-limits",
     "--adaptive-target-ms", "250", "--brownout",
     "--brownout-approx-confidence", "0.4", "--brownout-escalate", "1.5",
@@ -126,13 +113,6 @@ EVERY_VALUE = {
     "degraded_mode": False,
     "lease_ttl_s": 45.0,
     "steal_interval_s": 0.25,
-    "cost_routing": True,
-    "cost_threshold_s": 0.5,
-    "cheap_queue_limit": 11,
-    "expensive_queue_limit": 5,
-    "cheap_timeout_s": 9.0,
-    "expensive_timeout_s": 90.0,
-    "expensive_workers": 2,
     "approx_enabled": True,
     "approx_confidence": 0.6,
     "approx_capacity": 100,
@@ -257,10 +237,10 @@ class TestPinnedCommandLines:
         assert processes(
             *EVERY_FLAG, "--shards", "2", "--fabric-dir", FABRIC_DIR
         ) == {
-            # The forward deadline covers the expensive class's 90 s.
+            # The forward deadline is the shards' 41.5 s plus 5 s.
             "router": router(
                 host="127.0.0.2", port=9001, drain_timeout_s=7.5,
-                forward_timeout_s=95.0,
+                forward_timeout_s=46.5,
             ),
             "shard-0": shard(0, **{**EVERY_VALUE, "port": 0}),
             "shard-1": shard(1, **{**EVERY_VALUE, "port": 0}),
@@ -274,7 +254,7 @@ class TestServeFlags:
 
     def test_each_cli_field_has_exactly_one_row(self):
         rows = Counter(field for _, field, _, _ in SERVE_FLAGS)
-        assert len(CLI_FIELDS) == 33
+        assert len(CLI_FIELDS) == 26
         assert rows == Counter(CLI_FIELDS)
 
     def test_each_switch_flips_its_fields_default(self):

@@ -183,7 +183,9 @@ class TestMetrics:
         m.record_tier("response", hits=3, misses=1)
         snap = m.snapshot()
         assert snap["tiers"]["response"]["hit_rate"] == pytest.approx(0.75)
-        assert snap["tiers"]["traffic"]["hit_rate"] is None
+        assert snap["tiers"]["traffic-memory"]["hit_rate"] is None
+        assert snap["tiers"]["traffic-disk"]["hit_rate"] is None
+        assert "traffic" not in snap["tiers"]
 
 
 class TestLruCache:

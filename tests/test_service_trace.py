@@ -115,17 +115,22 @@ class TestStageMetrics:
 
 class TestProcessPoolTracing:
     def test_traced_tune_through_process_pool(self):
-        """Worker-side traces survive the process boundary."""
+        """Worker-side traces survive the process boundary: an
+        exhaustive sweep priced expensive runs on the process pool."""
         cfg = ServiceConfig(
             port=0, executor="process", workers=1, queue_limit=16
         )
         bg = BackgroundServer(cfg).start()
         try:
             client = ServiceClient(port=bg.port)
-            resp = client.tune(**TUNE, trace=True)
+            resp = client.tune(
+                **{**TUNE, "grid": [24, 24, 48], "tuner": "exhaustive"},
+                trace=True,
+            )
             assert resp["served"] == "fresh"
+            assert "expensive" in bg.service.dispatcher._lanes
             names = _span_names(resp["trace"])
-            assert {"engine.tune", "tuner.greedy"} <= names
+            assert {"engine.tune", "tuner.exhaustive"} <= names
             assert resp["result"]["best_mlups"] > 0
         finally:
             bg.stop()
