@@ -17,6 +17,7 @@ from repro.engine import shard_key
 from repro.fabric import BackgroundFabric, FabricConfig, HashRing
 from repro.service.background import BackgroundServer
 from repro.service.config import ServiceConfig
+from tests.test_drills import group_pids
 
 PREDICT = {"stencil": "3d7pt", "grid": [32, 32, 48]}
 RANK = {"method": "radau_iia", "grid": [16, 16, 32], "validate": False}
@@ -277,23 +278,6 @@ class TestShardLoss:
         assert metrics["fabric"]["router"]["rerouted"] >= 1
 
 
-def _group_pids(pgid: int) -> list[int]:
-    """Live (non-zombie) processes whose process group is ``pgid``."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path(f"/proc/{entry}/stat").read_text()
-        except OSError:
-            continue
-        # Fields after the parenthesised command: state ppid pgrp ...
-        state, _, pgrp = stat[stat.rfind(")") + 2:].split()[:3]
-        if state != "Z" and int(pgrp) == pgid:
-            pids.append(int(entry))
-    return pids
-
-
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
 def test_sigterm_leaves_no_process_of_a_served_fabric(tmp_path):
@@ -327,11 +311,11 @@ def test_sigterm_leaves_no_process_of_a_served_fabric(tmp_path):
             proc.send_signal(signal.SIGTERM)
             deadline = time.monotonic() + 5.0
             assert proc.wait(timeout=5.0) == 0
-            while _group_pids(proc.pid) and time.monotonic() < deadline:
+            while group_pids(proc.pid) and time.monotonic() < deadline:
                 time.sleep(0.02)
-            assert _group_pids(proc.pid) == [], f"run {run}"
+            assert group_pids(proc.pid) == [], f"run {run}"
         finally:
-            for pid in _group_pids(proc.pid):
+            for pid in group_pids(proc.pid):
                 os.kill(pid, signal.SIGKILL)
             if proc.poll() is None:
                 proc.kill()
