@@ -196,8 +196,6 @@ def drive(host: str, port: int, quick: bool) -> dict:
     tier_hit_rates = {
         name: ledger.get("hit_rate") for name, ledger in tiers.items()
     }
-    served_approx = (outcomes.get("approximate", 0)
-                     + burst_outcomes.get("approximate", 0))
     return {
         "distinct_payloads": len(workload),
         "warmup_s": round(warmup_s, 4),
@@ -217,10 +215,6 @@ def drive(host: str, port: int, quick: bool) -> dict:
         ),
         "errors": errors,
         "tier_hit_rates": tier_hit_rates,
-        "approximate_served": served_approx,
-        "approx_serve_rate": round(
-            served_approx / (n_sustained + burst_n), 4
-        ),
     }
 
 
@@ -249,7 +243,7 @@ def bench_cost_isolation(quick: bool) -> dict:
         for i in range(n_cheap):
             payload = {"stencil": "3d7pt",
                        "grid": [8 + 2 * (i % 12), 16 + 2 * (i // 12), z],
-                       "cache_scale": SCALE, "exact": True}
+                       "cache_scale": SCALE}
             t0 = time.perf_counter()
             client.request("POST", "/predict", payload)
             samples.append(time.perf_counter() - t0)
@@ -410,7 +404,8 @@ def _overload_drive(
         while time.time() < deadline:
             if resilient:
                 health = bg.client.healthz()
-                if health.get("brownout", {}).get("stage", 0) >= 2:
+                stage = health.get("brownout", {}).get("stage", 0)
+                if stage >= BROWNOUT_STAGES.index("predict-analytic"):
                     engaged = True
                     break
             else:
@@ -465,13 +460,14 @@ def _overload_drive(
         healthy = bg.client.healthz()["http_status"] == 200
         tune_row = bg.metrics_snapshot()["endpoints"].get("/tune", {})
         storm_cache_hits = tune_row.get("outcomes", {}).get("cache", 0)
-        max_stage = 0
+        max_stage = escalations = 0
         if resilient:
-            snapshot = bg.client.metrics().get("overload", {})
-            max_stage = snapshot.get("brownout", {}).get("stage", 0)
-            for entry in snapshot.get("brownout", {}).get(
-                "transitions", []
-            ):
+            brownout = bg.client.metrics().get("overload", {}).get(
+                "brownout", {}
+            )
+            max_stage = brownout.get("stage", 0)
+            escalations = brownout.get("escalations", 0)
+            for entry in brownout.get("transitions", []):
                 if entry["direction"] == "escalate":
                     max_stage = max(
                         max_stage,
@@ -494,6 +490,7 @@ def _overload_drive(
         "tune_outcomes": tune_outcomes,
         "engaged": engaged,
         "max_brownout_stage": max_stage,
+        "brownout_escalations": escalations,
         "storm_cache_hits": storm_cache_hits,
         "errors": errors,
         "healthy_after": healthy,
@@ -516,7 +513,8 @@ def bench_overload(quick: bool) -> dict:
         "armed": armed,
         "goodput_ratio": ratio,
         "brownout_engaged": armed["engaged"]
-        and armed["max_brownout_stage"] >= 2,
+        and armed["max_brownout_stage"]
+        >= BROWNOUT_STAGES.index("predict-analytic"),
         "storm_cache_hits": armed["storm_cache_hits"],
         "storm_unused": len(tunes),
         "errors": plain["errors"] + armed["errors"],
@@ -599,7 +597,6 @@ def to_artifact(result: dict, timestamp: str) -> dict:
             "healthy_after": (result["fabric_healthy_after"]
                               and result["single_healthy_after"]),
             "cheap_isolation_ratio": result["cost"]["cheap_isolation_ratio"],
-            "approx_serve_rate": result["fabric"]["approx_serve_rate"],
             "overload_goodput_ratio": result["overload"]["goodput_ratio"],
             "overload_brownout_engaged": (
                 result["overload"]["brownout_engaged"]

@@ -10,10 +10,7 @@ Times the HTTP service (``repro.service``) over a loopback socket:
 * client- and server-side latency percentiles (p50/p95/p99), and
 * admission control — a flood of distinct requests against a
   ``queue_limit=1`` server must shed with HTTP 429 while the server
-  stays healthy, and
-* approximate serving — with the near-match tier enabled, nearby-grid
-  probes must serve interpolated answers (``approx_serve_rate``) while
-  far probes fall back to exact computation.
+  stays healthy.
 
 Run standalone::
 
@@ -191,66 +188,13 @@ def bench_load_shed(quick: bool) -> dict:
     }
 
 
-def bench_approx(quick: bool) -> dict:
-    """Approximate serving: warm exact supports, probe nearby grids.
-
-    The near-match tier must serve every nearby probe approximately
-    (with an honest confidence) and decline the far probes — so the
-    approximate-serve rate over the probe set is deterministic.
-    """
-    stencils = STENCILS_QUICK if quick else STENCILS_FULL
-    supports = ([16, 16, 32], [16, 16, 48])
-    near_grids = ([16, 16, 36], [16, 16, 40], [16, 16, 44])
-    far_grid = [16, 16, 256]  # confidence 1 - 208/256 ≈ 0.19: declines
-    with BackgroundServer(
-        _cfg(approx_enabled=True, approx_confidence=0.6)
-    ) as bg:
-        client = bg.client
-        # "exact": true while warming: without it the second support
-        # grid would itself be served approximately off the first and
-        # never enter the support set.
-        for s in stencils:
-            for g in supports:
-                client.predict(
-                    stencil=s, grid=list(g), cache_scale=SCALE, exact=True
-                )
-        served_approx = 0
-        confidences: list[float] = []
-        probes = 0
-        for s in stencils:
-            for g in near_grids + (far_grid,):
-                env = client.predict(
-                    stencil=s, grid=list(g), cache_scale=SCALE
-                )
-                probes += 1
-                if env["served"] == "approximate":
-                    served_approx += 1
-                    confidences.append(env["confidence"])
-        snap = bg.metrics_snapshot()
-    approx_tier = snap["tiers"]["approx"]
-    return {
-        "supports": len(stencils) * len(supports),
-        "probes": probes,
-        "approximate_served": served_approx,
-        "approx_serve_rate": round(served_approx / probes, 4),
-        "min_confidence": round(min(confidences), 4) if confidences else None,
-        "max_confidence": round(max(confidences), 4) if confidences else None,
-        "tier": {
-            k: approx_tier[k]
-            for k in ("hits", "misses", "puts", "evictions", "hit_rate")
-        },
-    }
-
-
 def run(quick: bool = True) -> dict:
     throughput = bench_throughput(quick)
     load_shed = bench_load_shed(quick)
-    approx = bench_approx(quick)
     return {
         "quick": quick,
         "throughput": throughput,
         "load_shed": load_shed,
-        "approx": approx,
     }
 
 
@@ -267,13 +211,11 @@ def to_artifact(result: dict, timestamp: str) -> dict:
             "cold_rps": throughput["cold_rps"],
             "warm_rps": throughput["warm_rps"],
             "warm_response_hit_rate": throughput["response_cache_hit_rate"],
-            "approx_serve_rate": result["approx"]["approx_serve_rate"],
             "shed": result["load_shed"]["shed"],
             "healthy_after": result["load_shed"]["healthy_after"],
             "detail": {
                 "throughput": throughput,
                 "load_shed": result["load_shed"],
-                "approx": result["approx"],
             },
         },
         timestamp=timestamp,
@@ -359,11 +301,9 @@ def main(argv=None) -> int:
             write_artifact_dir(args.artifact_dir, record)
     ratio = result["throughput"]["warm_over_cold"]
     shed = result["load_shed"]["shed"]
-    approx_rate = result["approx"]["approx_serve_rate"]
     print(
         f"# warm/cold throughput {ratio:.1f}x, "
         f"{shed} requests shed with 429, "
-        f"approx_serve_rate={approx_rate}, "
         f"healthy_after={result['load_shed']['healthy_after']}",
         file=sys.stderr,
     )
@@ -372,10 +312,6 @@ def main(argv=None) -> int:
         return 1
     if shed == 0 or not result["load_shed"]["healthy_after"]:
         print("FAIL: load shedding not observed cleanly", file=sys.stderr)
-        return 1
-    if approx_rate <= 0:
-        print("FAIL: near-match tier served no approximations",
-              file=sys.stderr)
         return 1
     return 0
 

@@ -76,10 +76,6 @@ GUARDS = {
     "service": {
         "shed": lambda v: v >= 1,
         "healthy_after": lambda v: v is True,
-        # The near-match drill probes nearby grids against warmed
-        # supports; a zero serve rate means the approximate tier is
-        # dead.
-        "approx_serve_rate": lambda v: v is not None and v > 0,
     },
     "fabric_load": {
         "errors": lambda v: v == 0,

@@ -102,14 +102,6 @@ SERVE_FLAGS = (
      "fabric tune-job lease TTL in seconds"),
     ("--steal-interval", "steal_interval_s", float,
      "idle-shard work-stealing scan period in seconds (fabric mode)"),
-    ("--approx", "approx_enabled", bool,
-     "serve near-match approximate answers (interpolated from stored "
-     "exact results; responses carry approximate+confidence)"),
-    ("--approx-confidence", "approx_confidence", float,
-     "minimum confidence an approximate answer needs; below it the "
-     "request computes exactly"),
-    ("--approx-capacity", "approx_capacity", int,
-     "exact observations retained as interpolation support"),
     ("--adaptive-limits", "adaptive_limits", bool,
      "AIMD adaptive per-class admission limits: grow on healthy "
      "latency, halve when a class's windowed p95 breaches its target "
@@ -119,12 +111,8 @@ SERVE_FLAGS = (
      "expensive class targets half of --timeout)"),
     ("--brownout", "brownout", bool,
      "SLO-burn-driven brownout ladder: sustained page alerts degrade "
-     "in stages (widen approx acceptance, serve /predict "
-     "analytically, shed tune/rank, full shed) with staged recovery; "
-     "implies --slo"),
-    ("--brownout-approx-confidence C", "brownout_approx_confidence",
-     float, "near-match acceptance bar while browned out (never raises "
-     "the configured --approx-confidence)"),
+     "in stages (serve /predict analytically, shed tune/rank, full "
+     "shed) with staged recovery; implies --slo"),
     ("--brownout-escalate S", "brownout_escalate_s", float,
      "seconds a page alert must burn before each brownout step"),
     ("--brownout-recover S", "brownout_recover_s", float,

@@ -458,15 +458,12 @@ class ParsedRequest:
     """One POST body of ``/predict``, ``/tune`` or ``/rank``, parsed once.
 
     ``error`` is the HTTP 400 message of an invalid body and ``None``
-    for a valid one.  ``request`` is the typed request whenever the
-    payload normalizes — also for a body whose only fault is a
-    non-boolean ``"exact"``, which the router routes to its owner and
-    the shard refuses.  ``trace``, ``predictor`` and ``exact`` are the
-    execution-only hints, kept outside the canonical payload so they
-    never fork the cache or coalescing identity.  An instance may be
-    shared across requests: it is never mutated after construction
-    (``key`` and ``shard_key`` are computed once, on first use) and
-    :meth:`payload` hands out a fresh copy.
+    for a valid one, whose typed request is ``request``.  ``trace`` and
+    ``predictor`` are the execution-only hints, kept outside the
+    canonical payload so they never fork the cache or coalescing
+    identity.  An instance may be shared across requests: it is never
+    mutated after construction (``key`` and ``shard_key`` are computed
+    once, on first use) and :meth:`payload` hands out a fresh copy.
     """
 
     def __init__(
@@ -476,14 +473,12 @@ class ParsedRequest:
         request: PredictRequest | TuneRequest | RankRequest | None = None,
         trace: bool = False,
         predictor: object = None,
-        exact: object = False,
     ) -> None:
         self.endpoint = endpoint
         self.error = error
         self.request = request
         self.trace = trace
         self.predictor = predictor
-        self.exact = exact
         self._payload = request.to_payload() if request is not None else None
 
     @functools.cached_property
@@ -512,20 +507,15 @@ def _parse(endpoint: str, body: bytes) -> ParsedRequest:
             raise RequestError("payload must be a JSON object")
     except ValueError as exc:
         return ParsedRequest(endpoint, error=str(exc))
-    # "exact" is checked before normalization, so its message wins
-    # over any field error of the same body.
-    exact = payload.get("exact", False)
-    error = None if isinstance(exact, bool) else '"exact" must be a boolean'
     hints = {
         "trace": bool(payload.get("trace")),
         "predictor": payload.get("predictor"),
-        "exact": exact,
     }
     try:
         request = _request_class(endpoint).from_payload(payload)
     except ValueError as exc:
-        return ParsedRequest(endpoint, error=error or str(exc), **hints)
-    return ParsedRequest(endpoint, error=error, request=request, **hints)
+        return ParsedRequest(endpoint, error=str(exc), **hints)
+    return ParsedRequest(endpoint, request=request, **hints)
 
 
 def parse_request(endpoint: str, body: bytes) -> ParsedRequest:

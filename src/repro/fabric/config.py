@@ -62,13 +62,13 @@ class FabricConfig:
         The service template every shard runs.  Shard ``i`` gets a copy
         with ``host``, an ephemeral port, ``shard_id=i`` and the
         fabric's ``db/`` and ``jobs/`` directories; every other field
-        (lanes, admission, approximate tier, overload and SLO knobs)
-        is the template's.  The router also refuses request bodies
-        above ``shard.max_body_bytes``, drains for
-        ``shard.drain_timeout_s`` and waits for a forwarded answer up
-        to ``shard.request_timeout_s`` plus 5 s.  The
-        template must not set ``db_path``: the fabric's database is the
-        segmented one under ``fabric_dir``.
+        (lanes, admission, overload and SLO knobs) is the template's.
+        The router also refuses request bodies above
+        ``shard.max_body_bytes``, drains for ``shard.drain_timeout_s``
+        and waits for a forwarded answer up to
+        ``shard.request_timeout_s`` plus 5 s.  The template must not
+        set ``db_path``: the fabric's database is the segmented one
+        under ``fabric_dir``.
     """
 
     fabric_dir: str

@@ -75,6 +75,7 @@ from repro.service.overload import (
 )
 from repro.telemetry import LatencyHistogram, render_prometheus
 from repro.telemetry.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
+from repro.telemetry.recorder import tail_filters
 
 __all__ = ["FabricRouter", "serve_fabric"]
 
@@ -210,7 +211,13 @@ class FabricRouter(Http1Server):
         if method == "GET" and path == "/slo":
             return json_response(200, await self._slo())
         if method == "GET" and path == "/debug/requests":
-            return json_response(200, await self._debug_requests(query))
+            try:
+                filters = tail_filters(params)
+            except ValueError as exc:
+                return json_response(400, {"error": str(exc)})
+            return json_response(
+                200, await self._debug_requests(query, filters["n"])
+            )
         if path in _API_PATHS:
             return await self._route_api(
                 method, path, request.body, request.headers
@@ -495,13 +502,9 @@ class FabricRouter(Http1Server):
             "alerts": alerts,
         }
 
-    async def _debug_requests(self, query: str) -> dict:
-        """Fan-in of the shards' flight recorders, newest first."""
-        params = parse_qs(query) if query else {}
-        try:
-            n = int((params.get("n") or ["50"])[0])
-        except ValueError:
-            n = 50
+    async def _debug_requests(self, query: str, n: int) -> dict:
+        """Fan-in of the shards' flight recorders, newest first (the
+        shards apply the query's filters; ``n`` caps the merge)."""
         path = "/debug/requests" + (f"?{query}" if query else "")
         shards = await self._fan_in(path)
         merged: list[dict] = []
@@ -518,7 +521,7 @@ class FabricRouter(Http1Server):
             "recorded": recorded,
             "held": held,
             "shards_reporting": len(shards),
-            "requests": merged[: max(0, n)],
+            "requests": merged[:n],
         }
 
     # -- probing --------------------------------------------------------

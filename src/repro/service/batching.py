@@ -12,7 +12,8 @@ cost class (:func:`repro.service.cost.classify`):
   threads.  A process pool starts its workers with the ``spawn``
   method, never by forking the server, whose lane threads may hold a
   lock in the middle of a job; the server's fault plan reaches them
-  through the pool's initializer.
+  through the pool's initializer.  A pool that breaks (a worker died)
+  is dropped, so the next job of its class starts a fresh one.
 
 Admission control is a bounded count of fresh in-flight jobs *per
 class*: each class admits up to ``queue_limit`` jobs of its own, so a
@@ -41,7 +42,12 @@ import asyncio
 import functools
 import multiprocessing
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 from typing import Awaitable, Callable
 
 from repro import faults
@@ -310,12 +316,19 @@ class CoalescingDispatcher:
         t0 = time.perf_counter()
         try:
             loop = asyncio.get_running_loop()
+            lane = self._lane(job_class)
             try:
-                result = await loop.run_in_executor(
-                    self._lane(job_class), fn, payload
-                )
+                result = await loop.run_in_executor(lane, fn, payload)
             except DeadlineSwept:
                 swept = True
+                raise
+            except BrokenExecutor:
+                # A broken pool refuses every later submit: drop it (if
+                # no other job has already), so the next job of this
+                # class starts a fresh one.  This job still fails.
+                if self._lanes.get(job_class) is lane:
+                    del self._lanes[job_class]
+                    lane.shutdown(wait=False, cancel_futures=True)
                 raise
             if on_result is not None:
                 on_result(result)

@@ -84,16 +84,6 @@ class ServiceConfig:
         Period of the idle-shard work-stealing scan over ``job_dir``
         (0 disables stealing; rerouted requests still adopt).  Read
         only when ``job_dir`` is set, i.e. on fabric shards.
-    approx_enabled:
-        Serve near-match approximate answers (interpolated from stored
-        exact observations for the same request family with a nearby
-        grid).  Responses carry ``"approximate": true`` + a numeric
-        confidence; clients opt out per request with ``"exact": true``.
-    approx_confidence:
-        Minimum confidence an interpolated answer needs; below it the
-        request falls through to exact computation.
-    approx_capacity:
-        Exact observations retained as interpolation support.
     adaptive_limits:
         Replace the static per-class admission bound with AIMD
         limiters (:class:`~repro.service.overload.AdaptiveLimiter`):
@@ -110,15 +100,11 @@ class ServiceConfig:
     brownout:
         Arm the SLO-driven brownout ladder
         (:class:`~repro.service.overload.BrownoutLadder`): sustained
-        page-severity burn alerts degrade service in stages (widen
-        near-match acceptance → serve /predict analytically → shed
-        tune/rank → full shed) with staged recovery.  Requires
-        ``slo_enabled`` (the ladder is fed by the engine's alerts).
-        Off by default with byte-identical responses.
-    brownout_approx_confidence:
-        The near-match tier's loosened acceptance bar while the ladder
-        is at ``approx-wide`` or deeper (clamped to never *raise* the
-        configured ``approx_confidence``).
+        page-severity burn alerts degrade service in stages (serve
+        /predict analytically → shed tune/rank → full shed) with
+        staged recovery.  Requires ``slo_enabled`` (the ladder is fed
+        by the engine's alerts).  Off by default with byte-identical
+        responses.
     brownout_escalate_s:
         Seconds a page alert must burn before each downward step.
     brownout_recover_s:
@@ -157,13 +143,9 @@ class ServiceConfig:
     job_dir: str | None = None
     lease_ttl_s: float = 60.0
     steal_interval_s: float = 0.5
-    approx_enabled: bool = False
-    approx_confidence: float = 0.75
-    approx_capacity: int = 512
     adaptive_limits: bool = False
     adaptive_target_ms: float = 500.0
     brownout: bool = False
-    brownout_approx_confidence: float = 0.5
     brownout_escalate_s: float = 2.0
     brownout_recover_s: float = 5.0
     slo_enabled: bool = False
@@ -195,16 +177,8 @@ class ServiceConfig:
             raise ValueError("lease_ttl_s must be positive")
         if self.steal_interval_s < 0:
             raise ValueError("steal_interval_s must be >= 0")
-        if not 0.0 < self.approx_confidence <= 1.0:
-            raise ValueError("approx_confidence must be in (0, 1]")
-        if self.approx_capacity < 0:
-            raise ValueError("approx_capacity must be >= 0")
         if self.adaptive_target_ms <= 0:
             raise ValueError("adaptive_target_ms must be positive")
-        if not 0.0 < self.brownout_approx_confidence <= 1.0:
-            raise ValueError(
-                "brownout_approx_confidence must be in (0, 1]"
-            )
         if self.brownout_escalate_s <= 0 or self.brownout_recover_s <= 0:
             raise ValueError("brownout hold times must be positive")
         if self.brownout and not self.slo_enabled:

@@ -5,7 +5,6 @@ Every POST request resolves to exactly **one** outcome —
 ``cache``        served by the in-process LRU response cache (tier 1)
 ``coalesced``    joined an identical in-flight request's future
 ``database``     served by the warm Offsite tuning database (tier 3)
-``approximate``  interpolated from the near-match store tier
 ``fresh``        executed in its cost class's lane
 ``degraded``     breaker open — served by the analytic fallback
 ``shed``         refused by admission control or an open breaker
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 OUTCOMES = (
-    "cache", "coalesced", "database", "approximate", "fresh", "degraded",
-    "shed", "failed",
+    "cache", "coalesced", "database", "fresh", "degraded", "shed", "failed",
 )
 
 #: Tiers pre-registered on every server so ``/metrics`` always exposes
@@ -53,7 +51,6 @@ TIER_NAMES = (
     "traffic-memory",
     "traffic-disk",
     "database",
-    "approx",
 )
 
 _LEDGER_FIELDS = ("hits", "misses", "puts", "evictions")
@@ -206,7 +203,7 @@ class ServiceMetrics:
 
         Its own ledger is read at every snapshot and summed with any
         recorded counts under the same name, so a tier the server
-        consults directly (response LRU, database adapter, near-match)
+        consults directly (response LRU, database adapter)
         needs no per-request ``record_tier`` bookkeeping.
         """
         with self._lock:

@@ -26,12 +26,11 @@ the hard ceiling and the floor is 1, so the limiter can only ever
 
 **Brownout ladder** (:class:`BrownoutLadder`).  A small state machine
 fed by the SLO engine's page alerts that degrades service in stages —
-widen the near-match tier's acceptance, serve ``/predict`` from the
-analytic fallback, shed tune/rank before predict, full shed — with
-hysteresis in both directions (a sustained burn to step down, a
-sustained calm to step back up), a ledgered transition history, and no
-background task: it is evaluated inline, rate-limited, from the
-request path and the health/SLO surfaces.
+serve ``/predict`` from the analytic fallback, shed tune/rank before
+predict, full shed — with hysteresis in both directions (a sustained
+burn to step down, a sustained calm to step back up), a ledgered
+transition history, and no background task: it is evaluated inline,
+rate-limited, from the request path and the health/SLO surfaces.
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ _DEADLINE_KEY = DEADLINE_HEADER.lower()
 
 #: The ladder's stages, mildest first.  Index == severity.
 BROWNOUT_STAGES = (
-    "normal",          # full service
-    "approx-wide",     # near-match tier accepts lower-confidence answers
+    "normal",            # full service
     "predict-analytic",  # /predict served by the analytic fallback
-    "shed-heavy",      # /tune and /rank refused before /predict degrades
-    "full-shed",       # everything refused until the burn subsides
+    "shed-heavy",        # /tune and /rank refused; /predict analytic
+    "full-shed",         # everything refused until the burn subsides
 )
 
 

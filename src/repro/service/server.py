@@ -6,8 +6,7 @@ same name::
 
     normalize   memoized parse; 400 on a bad payload        [normalize]
     tier walk   response tier (encoded results), then the   [cache]
-                database tier (/rank, validate=false), then
-                the near-match tier (approximate answers)
+                database tier (/rank, validate=false)
     admit       brownout shed or degrade, the circuit        (untimed)
                 breaker, the cost class, deadline admission
     execute     the analytic fallback, or: build the job     [execute]
@@ -55,7 +54,11 @@ from repro.service.breaker import CircuitBreaker
 from repro.service.config import ServiceConfig
 from repro.service.cost import classify
 from repro.service.http1 import Http1Server, Request, Response, json_response
-from repro.service.overload import BrownoutLadder, deadline_from_headers
+from repro.service.overload import (
+    BROWNOUT_STAGES,
+    BrownoutLadder,
+    deadline_from_headers,
+)
 from repro.service.jobs import (
     DEGRADED_JOBS,
     JOBS,
@@ -64,7 +67,7 @@ from repro.service.jobs import (
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.serializers import tuning_record_to_dict
-from repro.store import DatabaseTier, LruTier, NearMatchTier
+from repro.store import DatabaseTier, LruTier
 from repro.telemetry import (
     FlightRecorder,
     SloEngine,
@@ -72,6 +75,7 @@ from repro.telemetry import (
     render_prometheus,
 )
 from repro.telemetry.prom import CONTENT_TYPE as _PROM_CONTENT_TYPE
+from repro.telemetry.recorder import tail_filters
 
 __all__ = ["ReproService", "serve"]
 
@@ -187,12 +191,6 @@ class ReproService(Http1Server):
         # ledger); persistence keeps talking to the wrapped object.
         self.database_tier = DatabaseTier(self.database)
         self.metrics.attach_tier("database", self.database_tier)
-        self.approx_tier: NearMatchTier | None = None
-        if self.config.approx_enabled:
-            self.approx_tier = NearMatchTier(
-                "approx", capacity=self.config.approx_capacity
-            )
-            self.metrics.attach_tier("approx", self.approx_tier)
         # Flight recorder: always constructed (recording one dict per
         # request is O(1)); only the /debug/requests surface reads it.
         self.flight = FlightRecorder(self.config.flight_recorder)
@@ -332,26 +330,12 @@ class ReproService(Http1Server):
         return json_response(404, {"error": f"no route {path}"})
 
     def _flight_document(self, params: dict) -> dict:
-        """The ``/debug/requests`` document (filters from the query)."""
-        try:
-            n = int(_first(params, "n") or 50)
-        except ValueError:
-            raise ValueError('"n" must be an integer') from None
-        min_ms = _first(params, "min_ms")
-        if min_ms is not None:
-            try:
-                min_ms = float(min_ms)
-            except ValueError:
-                raise ValueError('"min_ms" must be a number') from None
+        """The ``/debug/requests`` document (filters from the query;
+        ``ValueError`` on a malformed one)."""
         return {
             **self.flight.snapshot(),
             "shard": self.config.shard_id,
-            "requests": self.flight.tail(
-                n=max(0, n),
-                endpoint=_first(params, "endpoint"),
-                outcome=_first(params, "outcome"),
-                min_latency_ms=min_ms,
-            ),
+            "requests": self.flight.tail(**tail_filters(params)),
         }
 
     def _record_brownout_transition(self, entry: dict) -> None:
@@ -395,8 +379,8 @@ class ReproService(Http1Server):
     def _normalize(self, post: _Post, body: bytes) -> _Answer | None:
         """Parse once, memoized per body and shared with the router.
 
-        The hints ``trace``, ``predictor`` and ``exact`` stay outside
-        the canonical payload, so they never fork the cache or
+        The hints ``trace`` and ``predictor`` stay outside the
+        canonical payload, so they never fork the cache or
         coalescing identity.  That is sound for the predictor only
         because normalization rejects ``predictor="lc"`` for ``/tune``:
         the admitted modes produce bit-identical reports.
@@ -408,15 +392,11 @@ class ReproService(Http1Server):
         return None
 
     def _tier_walk(self, post: _Post) -> _Answer | None:
-        """The response tier, the database tier, the near-match tier.
+        """The response tier, then the database tier.
 
         The tiers' own ledgers are attached to ``/metrics``, so a
-        lookup needs no bookkeeping here.  The near-match tier answers
-        from stored exact observations of the same request family at a
-        nearby grid, unless the client sent ``"exact": true``; it
-        declines below the configured confidence, which brownout stage
-        1 and up may only loosen.  Its answers never enter an exact
-        tier.
+        lookup needs no bookkeeping here.  Both hold exact results
+        only.
         """
         parsed = post.parsed
         post.key = parsed.key
@@ -433,29 +413,14 @@ class ReproService(Http1Server):
                 return _Answer(
                     "database", 200, json.dumps(result).encode(), "database"
                 )
-        if self.approx_tier is not None and not parsed.exact:
-            min_confidence = self.config.approx_confidence
-            if self.ladder is not None and self.ladder.stage >= 1:
-                min_confidence = min(
-                    min_confidence, self.config.brownout_approx_confidence
-                )
-            served = self.approx_tier.lookup(
-                post.endpoint, post.payload, min_confidence
-            )
-            if served is not None:
-                result, confidence = served
-                return _Answer(
-                    "approximate", 200, json.dumps(result).encode(),
-                    "approximate",
-                    extras=(("approximate", True), ("confidence", confidence)),
-                )
         return None
 
     def _admit(self, post: _Post) -> _Answer | None:
         """Refuse, or set ``post.job_class`` (``None``: the fallback).
 
-        Brownout first: heavy endpoints shed at stage 3, ``/predict``
-        takes the analytic fallback at stage 2 and sheds at stage 4.
+        Brownout first: heavy endpoints shed from ``shed-heavy`` on,
+        ``/predict`` takes the analytic fallback from
+        ``predict-analytic`` on and sheds at ``full-shed``.
         Then the circuit breaker: a backend that keeps failing fresh
         jobs is taken out of rotation, answered by the fallback in
         degraded mode and refused with 503 otherwise.  Then the queue
@@ -465,14 +430,17 @@ class ReproService(Http1Server):
         """
         endpoint = post.endpoint
         stage = 0 if self.ladder is None else self.ladder.stage
-        if stage >= (3 if endpoint in ("/tune", "/rank") else 4):
+        if stage >= BROWNOUT_STAGES.index(
+            "shed-heavy" if endpoint in ("/tune", "/rank") else "full-shed"
+        ):
             post.note["brownout"] = self.ladder.state
             return _refuse("shed", 503, {
                 "error": "brownout",
                 "stage": self.ladder.state,
                 "endpoint": endpoint,
             }, self.config.brownout_recover_s)
-        if stage >= 2 and endpoint == "/predict":
+        if (stage >= BROWNOUT_STAGES.index("predict-analytic")
+                and endpoint == "/predict"):
             post.brownout = True
             return None
         breaker = self.breakers[endpoint]
@@ -641,19 +609,11 @@ class ReproService(Http1Server):
         Encodes the result once, for the response tier and the
         dispatching request.  A degraded result is served to the
         waiters that shared the run but never cached: an identical
-        later request deserves a clean recomputation.  Exact results
-        also become near-match support.
+        later request deserves a clean recomputation.
         """
         encoded = json.dumps(result).encode()
         if not is_degraded(result):
             self.response_cache.put(post.key, encoded)
-            if self.approx_tier is not None:
-                try:
-                    self.approx_tier.observe(
-                        post.endpoint, post.payload, result
-                    )
-                except Exception:
-                    pass  # advisory tier: never fail the request
         ledger = result.get("traffic_cache")
         if isinstance(ledger, dict):
             for tier, prefix in (
@@ -689,7 +649,7 @@ class ReproService(Http1Server):
         its members, so the bytes equal ``json.dumps`` of the envelope
         dict.  Members after ``result``: ``trace`` (traced requests;
         ``null`` unless the job ran traced), then the answer's extras
-        (``degraded``, ``brownout``, ``approximate``, ``confidence``).
+        (``degraded``, ``brownout``).
         """
         stages = post.stages
         body = answer.body
@@ -864,10 +824,6 @@ class ReproService(Http1Server):
                 "limit": self.config.queue_limit,
             },
             queues=self.dispatcher.queue_snapshot(),
-            approx={
-                "enabled": self.config.approx_enabled,
-                "min_confidence": self.config.approx_confidence,
-            },
             pool={
                 "workers": self.config.workers,
                 "executor": self.config.executor,

@@ -1,19 +1,14 @@
 """Pluggable tier-stack store substrate.
 
 One protocol (:class:`Tier`), one ledger shape (:class:`TierLedger`),
-one composer (:class:`TierStack`) — every cache/persistence layer in
-the repo (response LRU, traffic memo memory+disk, tuning database,
-checkpoints, the near-match approximate tier) is a tier on this
-substrate, and every metrics surface reads the same ``stats()`` shape.
+one composer (:class:`TierStack`) — the response LRU, the traffic memo
+(memory+disk) and the tuning database are tiers on this substrate, and
+every metrics surface reads the same ``stats()`` shape.  Every tier
+holds exact results only.
 """
 
-from repro.store.adapters import CheckpointTier, DatabaseTier
-from repro.store.approx import (
-    INTERPOLATED_FIELDS,
-    NearMatchTier,
-    grid_confidence,
-)
-from repro.store.stack import TierStack, admit_all
+from repro.store.adapters import DatabaseTier
+from repro.store.stack import TierStack
 from repro.store.tier import DiskJsonTier, LruTier, Tier, TierLedger
 
 __all__ = [
@@ -22,10 +17,5 @@ __all__ = [
     "LruTier",
     "DiskJsonTier",
     "TierStack",
-    "admit_all",
     "DatabaseTier",
-    "CheckpointTier",
-    "NearMatchTier",
-    "grid_confidence",
-    "INTERPOLATED_FIELDS",
 ]

@@ -1,30 +1,27 @@
-"""Thin :class:`~repro.store.tier.Tier` adapters over existing stores.
+"""A thin :class:`~repro.store.tier.Tier` adapter over the tuning database.
 
 The tuning database (single-file and segmented — the segmented store
 subclasses :class:`~repro.offsite.database.TuningDatabase`, so one
-adapter covers both) and the checkpoint substrate keep their own
-persistence logic; these adapters bolt the uniform tier ledger and
-``stats()`` shape on top so ``/metrics`` and the fabric fan-in read one
-ledger shape for every layer.
+adapter covers both) keeps its own persistence logic; the adapter bolts
+the uniform tier ledger and ``stats()`` shape on top so ``/metrics``
+and the fabric fan-in read one ledger shape for every layer.
 """
 
 from __future__ import annotations
 
 from repro.store.tier import Tier
 
-# NOTE: neither repro.offsite.database nor repro.autotune.checkpoint is
-# imported here — both packages (transitively) import
-# repro.cachesim.memo, which builds on repro.store.tier, so a top-level
-# import would close an import cycle.  The adapters duck-type their
-# wrapped objects instead: DatabaseTier needs get/lookup/put/__len__
-# (the TuningDatabase surface, segmented subclass included), and
-# CheckpointTier needs get_raw/put_raw/flush/__len__ (JsonCheckpoint).
+# NOTE: repro.offsite.database is not imported here — it (transitively)
+# imports repro.cachesim.memo, which builds on repro.store.tier, so a
+# top-level import would close an import cycle.  The adapter duck-types
+# the wrapped object instead: DatabaseTier needs get/put/__len__ (the
+# TuningDatabase surface, segmented subclass included).
 
-__all__ = ["DatabaseTier", "CheckpointTier"]
+__all__ = ["DatabaseTier"]
 
 
 class DatabaseTier(Tier):
-    """The warm tuning database as a tier (exact and nearest-grid).
+    """The warm tuning database as a tier (exact-key lookups).
 
     Wraps a :class:`~repro.offsite.database.TuningDatabase` (or its
     segmented fabric subclass) without changing its persistence: the
@@ -48,50 +45,7 @@ class DatabaseTier(Tier):
         self.ledger.record_hit()
         return record
 
-    def lookup(self, key):
-        """Exact-else-nearest-grid lookup, ledgered the same way."""
-        record = self.database.lookup(key)
-        if record is None:
-            self.ledger.record_miss()
-            return None
-        self.ledger.record_hit()
-        return record
-
     def put(self, record, value=None) -> None:
         """Insert a record (single-argument, keyed by the record)."""
         self.database.put(record)
         self.ledger.record_put()
-
-
-class CheckpointTier(Tier):
-    """A crash-safe checkpoint file as a tier.
-
-    ``get``/``put`` map onto the checkpoint's raw JSON entries;
-    ``close`` flushes, so a stack teardown persists whatever the run
-    completed.  Resumed entries count as hits — exactly the
-    ``resumed_jobs`` semantics the tuner ledgers surface.  ``checkpoint``
-    is any object with the :class:`repro.autotune.checkpoint.JsonCheckpoint`
-    surface (``get_raw``/``put_raw``/``flush``/``__len__``).
-    """
-
-    def __init__(self, checkpoint, name: str = "checkpoint") -> None:
-        super().__init__(name)
-        self.checkpoint = checkpoint
-
-    def __len__(self) -> int:
-        return len(self.checkpoint)
-
-    def get(self, key: str):
-        value = self.checkpoint.get_raw(key)
-        if value is None:
-            self.ledger.record_miss()
-            return None
-        self.ledger.record_hit()
-        return value
-
-    def put(self, key: str, value) -> None:
-        self.checkpoint.put_raw(key, value)
-        self.ledger.record_put()
-
-    def close(self) -> None:
-        self.checkpoint.flush()

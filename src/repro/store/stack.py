@@ -1,55 +1,34 @@
-"""TierStack: ordered tiers + admission predicates + hit promotion.
+"""TierStack: ordered tiers with hit promotion.
 
 A stack composes tiers fastest-first.  ``get`` walks down until a tier
 hits, then promotes the value into every faster tier above it (the
-traffic memo's disk→memory promotion, generalized).  ``put`` offers the
-value to every tier whose *admission predicate* accepts it — the
-predicate is where serving policy lives as data instead of scattered
-``if``\\ s: "degraded results never enter the response cache" and
-"approximate results never enter an exact tier" are both one-line
-predicates.
+traffic memo's disk→memory promotion, generalized).  ``put`` writes the
+value to every tier.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.store.tier import Tier
 
-__all__ = ["TierStack", "admit_all"]
-
-
-def admit_all(key, value) -> bool:
-    """The default admission predicate: store everything."""
-    return True
+__all__ = ["TierStack"]
 
 
 class TierStack:
-    """Ordered composition of tiers with per-tier admission.
+    """Ordered composition of tiers.
 
     Parameters
     ----------
     tiers:
         Fastest-first sequence of :class:`Tier` instances.
-    admit:
-        Optional ``{tier_name: predicate(key, value) -> bool}``.  A
-        tier without an entry admits everything.  Predicates gate
-        *writes only* — reads always consult every tier, because a
-        value another writer admitted is still valid to serve.
     """
 
-    def __init__(
-        self,
-        tiers: list[Tier] | tuple[Tier, ...],
-        admit: dict[str, Callable[[object, object], bool]] | None = None,
-    ) -> None:
+    def __init__(self, tiers: list[Tier] | tuple[Tier, ...]) -> None:
         if not tiers:
             raise ValueError("a TierStack needs at least one tier")
         names = [t.name for t in tiers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tier names in stack: {names}")
         self.tiers: tuple[Tier, ...] = tuple(tiers)
-        self.admit = dict(admit or {})
 
     def __len__(self) -> int:
         return len(self.tiers[0])
@@ -73,22 +52,20 @@ class TierStack:
             if value is None:
                 continue
             for upper in self.tiers[:depth]:
-                if self.admit.get(upper.name, admit_all)(key, value):
-                    upper.put(key, value)
+                upper.put(key, value)
             return value
         return None
 
     def put(self, key, value) -> None:
-        """Offer the value to every tier that admits it."""
+        """Write the value to every tier."""
         for tier in self.tiers:
-            if self.admit.get(tier.name, admit_all)(key, value):
-                tier.put(key, value)
+            tier.put(key, value)
 
     def stats(self) -> dict:
         """``{tier_name: tier.stats()}`` for every member."""
         return {tier.name: tier.stats() for tier in self.tiers}
 
     def close(self) -> None:
-        """Close every member tier (flush checkpoints etc.)."""
+        """Close every member tier."""
         for tier in self.tiers:
             tier.close()

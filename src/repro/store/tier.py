@@ -1,9 +1,9 @@
 """The tier protocol: one ledger shape for every cache/persistence layer.
 
-Before this module the repo had four independently-grown store layers —
-the service response LRU, the traffic memo's memory+disk pair, the
-tuning database and the checkpoint substrate — each with its own
-eviction, hit/miss accounting and crash-safety conventions.  A
+Before this module the repo had three independently-grown store layers —
+the service response LRU, the traffic memo's memory+disk pair and the
+tuning database — each with its own eviction, hit/miss accounting and
+crash-safety conventions.  A
 :class:`Tier` is the common denominator: a named key→value store with a
 uniform :class:`TierLedger` (hits / misses / puts / evictions, with
 ``hit_rate`` honestly ``None`` while untouched), a ``stats()`` snapshot
@@ -13,10 +13,9 @@ backing (:class:`DiskJsonTier`, reusing :mod:`repro.util.crashsafe`).
 Concrete tiers here are the two building blocks everything composes
 from: :class:`LruTier` (in-memory, optional capacity with eviction
 accounting) and :class:`DiskJsonTier` (one checksummed JSON file per
-key, quarantine-on-corrupt, atomic publish).  Adapters re-homing the
-tuning database and checkpoints live in :mod:`repro.store.adapters`;
-the near-match approximate tier in :mod:`repro.store.approx`; the
-composer in :mod:`repro.store.stack`.
+key, quarantine-on-corrupt, atomic publish).  The adapter re-homing the
+tuning database lives in :mod:`repro.store.adapters`; the composer in
+:mod:`repro.store.stack`.
 """
 
 from __future__ import annotations
@@ -102,14 +101,13 @@ class Tier:
         Returns the stored value or ``None``; counts exactly one hit or
         miss on the ledger.
     ``put(key, value)``
-        Stores (or refuses — admission is the stack's job); counts one
-        put, plus one eviction per displaced entry.
+        Stores the value; counts one put, plus one eviction per
+        displaced entry.
     ``stats()``
         The ledger snapshot plus ``size`` — the one shape
         ``/metrics`` and the fabric fan-in read.
     ``close()``
-        Flush/teardown hook (checkpoints flush, disks are already
-        durable, memories no-op).
+        Teardown hook (disks are already durable, memories no-op).
     """
 
     def __init__(self, name: str) -> None:

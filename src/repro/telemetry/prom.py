@@ -294,9 +294,13 @@ def render_prometheus(snapshot: dict) -> str:
             )
     brownout = overload.get("brownout") or {}
     if isinstance(brownout.get("stage"), (int, float)):
+        stages = ", ".join(
+            f"{index} {name}"
+            for index, name in enumerate(brownout.get("stages") or ())
+        )
         out.family(
             "repro_brownout_stage", "gauge",
-            "Brownout ladder stage (0 normal .. 4 full shed).",
+            f"Brownout ladder stage ({stages}).",
         )
         out.sample("repro_brownout_stage", None, brownout["stage"])
 

@@ -21,7 +21,7 @@ import threading
 import time
 from collections import deque
 
-__all__ = ["FlightRecorder"]
+__all__ = ["FlightRecorder", "tail_filters"]
 
 
 class FlightRecorder:
@@ -86,3 +86,34 @@ class FlightRecorder:
             "recorded": recorded,
             "dropped": recorded - held,
         }
+
+
+def tail_filters(params: dict[str, list[str]]) -> dict:
+    """:meth:`FlightRecorder.tail` keyword arguments from a parsed
+    ``/debug/requests`` query (``urllib.parse.parse_qs`` shape).
+
+    ``n`` (default 50, floored at 0), ``endpoint``, ``outcome`` and
+    ``min_ms``; a malformed ``n`` or ``min_ms`` raises ``ValueError``
+    with the message every surface answers HTTP 400 with.
+    """
+
+    def first(name: str) -> str | None:
+        values = params.get(name)
+        return values[0] if values else None
+
+    try:
+        n = int(first("n") or 50)
+    except ValueError:
+        raise ValueError('"n" must be an integer') from None
+    min_ms = first("min_ms")
+    if min_ms is not None:
+        try:
+            min_ms = float(min_ms)
+        except ValueError:
+            raise ValueError('"min_ms" must be a number') from None
+    return {
+        "n": max(0, n),
+        "endpoint": first("endpoint"),
+        "outcome": first("outcome"),
+        "min_latency_ms": min_ms,
+    }

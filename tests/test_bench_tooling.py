@@ -30,7 +30,6 @@ FULL_SERVICE_METRICS = {
     "warm_response_hit_rate": 0.9,
     "shed": 2,
     "healthy_after": True,
-    "approx_serve_rate": 0.5,
 }
 
 
@@ -75,16 +74,16 @@ class TestPerfGateMissing:
 
     def test_missing_guard_target_warns(self):
         metrics = dict(FULL_SERVICE_METRICS)
-        del metrics["approx_serve_rate"]
+        del metrics["healthy_after"]
         base = make(metrics=FULL_SERVICE_METRICS)
         cur = make(metrics=metrics)
         failures, warnings = perf_gate.gate(base, cur, tolerance=0.5)
         assert failures == []
-        assert any("approx_serve_rate" in w for w in warnings)
+        assert any("healthy_after" in w for w in warnings)
         failures, _ = perf_gate.gate(
             base, cur, tolerance=0.5, missing="fail"
         )
-        assert any("approx_serve_rate" in f for f in failures)
+        assert any("healthy_after" in f for f in failures)
 
     def test_uncomparable_guard_value_fails_not_crashes(self):
         base = make(metrics=FULL_SERVICE_METRICS)

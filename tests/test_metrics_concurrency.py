@@ -78,7 +78,7 @@ def test_tier_totals_stable_under_concurrent_writers():
         barrier.wait()
         for _ in range(PER_THREAD):
             metrics.record_tier("response", hits=2, misses=1)
-            metrics.record_tier("approx", puts=1)
+            metrics.record_tier("database", puts=1)
 
     def read():
         last = {}

@@ -237,14 +237,14 @@ class TestBrownoutLadder:
         now[0] = 1.9
         assert ladder.evaluate() == 0  # not sustained long enough yet
         now[0] = 2.1
-        assert ladder.evaluate() == 1
-        assert ladder.state == "approx-wide"
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("predict-analytic")
+        assert ladder.state == "predict-analytic"
         # The next step needs its own full hold period.
         now[0] = 2.2
-        assert ladder.evaluate() == 1
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("predict-analytic")
         now[0] = 4.3
-        assert ladder.evaluate() == 2
-        assert ladder.state == "predict-analytic"
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("shed-heavy")
+        assert ladder.state == "shed-heavy"
 
     def test_blip_resets_the_escalation_hold(self):
         firing = [True]
@@ -257,7 +257,7 @@ class TestBrownoutLadder:
         now[0] = 3.0
         assert ladder.evaluate() == 0  # 1.5s of *new* burn < the hold
         now[0] = 5.1
-        assert ladder.evaluate() == 1
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("predict-analytic")
 
     def test_recovers_stage_by_stage_after_sustained_calm(self):
         firing = [True]
@@ -265,25 +265,26 @@ class TestBrownoutLadder:
         for t in (0.0, 2.1, 4.2):
             now[0] = t
             ladder.evaluate()
-        assert ladder.stage == 2
+        assert ladder.state == "shed-heavy"
         firing[0] = False
         now[0] = 5.0
-        assert ladder.evaluate() == 2  # calm streak starts
-        now[0] = 9.9
-        assert ladder.evaluate() == 2
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("shed-heavy")
+        now[0] = 9.9  # the calm streak started at 5.0
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("shed-heavy")
         now[0] = 10.1
-        assert ladder.evaluate() == 1
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("predict-analytic")
         now[0] = 15.2
-        assert ladder.evaluate() == 0
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("normal")
         assert ladder.state == "normal"
         assert ladder.escalations == 2 and ladder.recoveries == 2
 
     def test_max_stage_caps_the_descent(self):
-        ladder, now = self._ladder(lambda: [_alert()], max_stage=2)
+        cap = BROWNOUT_STAGES.index("shed-heavy")
+        ladder, now = self._ladder(lambda: [_alert()], max_stage=cap)
         for step in range(1, 10):
             now[0] = step * 2.1
             ladder.evaluate()
-        assert ladder.stage == 2
+        assert ladder.state == "shed-heavy"
 
     def test_shed_rate_alerts_are_ignored(self):
         ladder, now = self._ladder(
@@ -343,7 +344,7 @@ class TestBrownoutLadder:
         entries = list(ladder.transitions)
         assert [e["direction"] for e in entries] == ["escalate", "recover"]
         assert entries[0]["from"] == "normal"
-        assert entries[0]["to"] == "approx-wide"
+        assert entries[0]["to"] == "predict-analytic"
         assert entries[0]["alerts"] == ["latency-p95"]
         assert entries[1]["to"] == "normal"
         assert seen == entries
@@ -362,7 +363,8 @@ class TestBrownoutLadder:
         now[0] = 0.0
         ladder.evaluate()
         now[0] = 2.1
-        assert ladder.evaluate() == 1  # transition happened regardless
+        # The transition happened regardless.
+        assert ladder.evaluate() == BROWNOUT_STAGES.index("predict-analytic")
 
 
 # ----------------------------------------------------------------------
@@ -376,16 +378,6 @@ class TestOverloadConfig:
     def test_adaptive_target_must_be_positive(self):
         with pytest.raises(ValueError):
             ServiceConfig(port=0, adaptive_target_ms=0.0)
-
-    def test_brownout_confidence_bounds(self):
-        for bad in (0.0, 1.5, -0.1):
-            with pytest.raises(ValueError):
-                ServiceConfig(
-                    port=0,
-                    slo_enabled=True,
-                    brownout=True,
-                    brownout_approx_confidence=bad,
-                )
 
     def test_hold_times_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -419,7 +411,6 @@ class TestOverloadConfig:
                 slo_enabled=True,
                 brownout_escalate_s=1.0,
                 brownout_recover_s=2.0,
-                brownout_approx_confidence=0.25,
             ),
         )
         shard = shard_service_config(config, 0)
@@ -428,7 +419,6 @@ class TestOverloadConfig:
         assert shard.brownout is True
         assert shard.brownout_escalate_s == 1.0
         assert shard.brownout_recover_s == 2.0
-        assert shard.brownout_approx_confidence == 0.25
 
 
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ import repro.service.jobs as jobs
 from repro.service.background import BackgroundServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
+from repro.service.overload import BROWNOUT_STAGES
 
 from tests.test_overload import _request_with_headers
 
@@ -70,7 +71,7 @@ def _drill_config() -> ServiceConfig:
         adaptive_target_ms=1000.0,
         brownout=True,
         # Escalation must hold LONGER than the widest page window (1s)
-        # so stage 3 clears the alert before a stage-4 full shed fires.
+        # so shed-heavy clears the alert before a full shed fires.
         brownout_escalate_s=2.0,
         brownout_recover_s=0.7,
         flight_recorder=256,
@@ -145,7 +146,7 @@ class TestBrownoutDrill:
             )
             assert rate_unloaded > 0
             health = client.healthz()
-            assert health["brownout"]["stage"] == 0
+            assert health["brownout"]["state"] == "normal"
 
             # -- phase 2: sustained overload ----------------------------
             stop_load = threading.Event()
@@ -180,15 +181,16 @@ class TestBrownoutDrill:
             try:
                 # The burn pages and the ladder walks to the analytic
                 # stage; /healthz polls also advance the ladder.
+                analytic = BROWNOUT_STAGES.index("predict-analytic")
                 max_stage = 0
                 deadline = time.monotonic() + 30.0
                 while time.monotonic() < deadline:
                     stage = client.healthz()["brownout"]["stage"]
                     max_stage = max(max_stage, stage)
-                    if max_stage >= 2:
+                    if max_stage >= analytic:
                         break
                     time.sleep(0.05)
-                assert max_stage >= 2, (
+                assert max_stage >= analytic, (
                     "ladder never reached predict-analytic under "
                     "sustained overload"
                 )
@@ -237,19 +239,21 @@ class TestBrownoutDrill:
 
             # -- phase 4: full recovery, no restart -------------------
             deadline = time.monotonic() + 30.0
-            stage = None
+            state = None
             while time.monotonic() < deadline:
-                stage = client.healthz()["brownout"]["stage"]
-                if stage == 0:
+                state = client.healthz()["brownout"]["state"]
+                if state == "normal":
                     break
                 time.sleep(0.1)
-            assert stage == 0, f"ladder stuck at stage {stage}"
+            assert state == "normal", f"ladder stuck at {state}"
 
             # The whole episode is ledgered on every surface.
             health = client.healthz()
             transitions = health["brownout"]["transitions"]
             directions = [t["direction"] for t in transitions]
-            assert directions.count("escalate") >= 3  # reached stage 3
+            # Reached shed-heavy (one escalation per stage).
+            shed_heavy = BROWNOUT_STAGES.index("shed-heavy")
+            assert directions.count("escalate") >= shed_heavy
             assert directions.count("recover") == directions.count(
                 "escalate"
             )
@@ -258,8 +262,8 @@ class TestBrownoutDrill:
             assert transitions[0]["alerts"]  # driven by named alerts
 
             slo_doc = client.slo()
-            assert slo_doc["brownout"]["stage"] == 0
-            assert slo_doc["brownout"]["escalations"] >= 3
+            assert slo_doc["brownout"]["state"] == "normal"
+            assert slo_doc["brownout"]["escalations"] >= shed_heavy
             assert (
                 slo_doc["brownout"]["escalations"]
                 == slo_doc["brownout"]["recoveries"]

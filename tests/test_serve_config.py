@@ -48,13 +48,9 @@ CLI_DEFAULTS = {
     "job_dir": None,
     "lease_ttl_s": 60.0,
     "steal_interval_s": 0.5,
-    "approx_enabled": False,
-    "approx_confidence": 0.75,
-    "approx_capacity": 512,
     "adaptive_limits": False,
     "adaptive_target_ms": 500.0,
     "brownout": False,
-    "brownout_approx_confidence": 0.5,
     "brownout_escalate_s": 2.0,
     "brownout_recover_s": 5.0,
     "slo_enabled": False,
@@ -67,17 +63,14 @@ CLI_FIELDS = (
     "host", "port", "workers", "executor", "queue_limit",
     "response_cache_size", "request_timeout_s", "drain_timeout_s",
     "db_path", "breaker_threshold", "breaker_recovery_s", "degraded_mode",
-    "lease_ttl_s", "steal_interval_s", "approx_enabled",
-    "approx_confidence", "approx_capacity", "adaptive_limits",
-    "adaptive_target_ms", "brownout", "brownout_approx_confidence",
-    "brownout_escalate_s", "brownout_recover_s", "slo_enabled",
-    "slo_config", "flight_recorder",
+    "lease_ttl_s", "steal_interval_s", "adaptive_limits",
+    "adaptive_target_ms", "brownout", "brownout_escalate_s",
+    "brownout_recover_s", "slo_enabled", "slo_config", "flight_recorder",
 )
 
 #: Flags that take no value: each flips its field's default.
 SWITCHES = {
     "--no-degraded": "degraded_mode",
-    "--approx": "approx_enabled",
     "--adaptive-limits": "adaptive_limits",
     "--brownout": "brownout",
     "--slo": "slo_enabled",
@@ -90,10 +83,8 @@ EVERY_FLAG = [
     "--timeout", "41.5", "--drain-timeout", "7.5",
     "--breaker-threshold", "4", "--breaker-recovery", "12.5",
     "--no-degraded", "--lease-ttl", "45", "--steal-interval", "0.25",
-    "--approx", "--approx-confidence", "0.6",
-    "--approx-capacity", "100", "--adaptive-limits",
-    "--adaptive-target-ms", "250", "--brownout",
-    "--brownout-approx-confidence", "0.4", "--brownout-escalate", "1.5",
+    "--adaptive-limits", "--adaptive-target-ms", "250", "--brownout",
+    "--brownout-escalate", "1.5",
     "--brownout-recover", "4.5", "--slo", "--slo-config", "{}",
     "--flight-recorder", "64",
 ]
@@ -113,13 +104,9 @@ EVERY_VALUE = {
     "degraded_mode": False,
     "lease_ttl_s": 45.0,
     "steal_interval_s": 0.25,
-    "approx_enabled": True,
-    "approx_confidence": 0.6,
-    "approx_capacity": 100,
     "adaptive_limits": True,
     "adaptive_target_ms": 250.0,
     "brownout": True,
-    "brownout_approx_confidence": 0.4,
     "brownout_escalate_s": 1.5,
     "brownout_recover_s": 4.5,
     "slo_enabled": True,
@@ -254,7 +241,7 @@ class TestServeFlags:
 
     def test_each_cli_field_has_exactly_one_row(self):
         rows = Counter(field for _, field, _, _ in SERVE_FLAGS)
-        assert len(CLI_FIELDS) == 26
+        assert len(CLI_FIELDS) == 22
         assert rows == Counter(CLI_FIELDS)
 
     def test_each_switch_flips_its_fields_default(self):

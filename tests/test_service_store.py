@@ -1,12 +1,9 @@
-"""Live-server drills of the store stack: approximate serving + cost
-classes.
+"""Live-server drills of cost-classed admission.
 
 These hit a real :class:`BackgroundServer` over HTTP, mirroring the
-soak-test harness: the near-match tier must serve nearby grids with an
-honest confidence, decline below threshold, honor ``"exact": true``
-verbatim, and never leak an approximate answer into any exact tier;
-cost-classed admission must shed a saturated expensive lane without
-touching the cheap one.
+soak-test harness: cheap jobs run in the server process, expensive ones
+on the pool, and a saturated expensive lane sheds without touching the
+cheap one.
 """
 
 import threading
@@ -16,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import pytest
 
 import repro.service.jobs as jobs
+from repro import faults
 from repro.cachesim.dispatch import predictor_counters
 from repro.service.background import BackgroundServer
 from repro.service.client import ServiceClient, ServiceError
@@ -24,10 +22,6 @@ from repro.service.config import ServiceConfig
 SCALE = 1 / 32  # shrink caches so exact simulation stays fast
 
 BASE = {"stencil": "3d7pt", "grid": [16, 16, 32], "cache_scale": SCALE}
-#: |28-32|/32 = 0.125 off on the worst axis → confidence 0.875.
-NEAR = dict(BASE, grid=[16, 16, 28])
-#: |128-32|/128 = 0.75 off → confidence 0.25, below every threshold here.
-FAR = dict(BASE, grid=[16, 16, 128])
 
 
 def _cfg(**kwargs) -> ServiceConfig:
@@ -41,106 +35,6 @@ def _cfg(**kwargs) -> ServiceConfig:
     )
     defaults.update(kwargs)
     return ServiceConfig(**defaults)
-
-
-def _approx_cfg(**kwargs) -> ServiceConfig:
-    return _cfg(approx_enabled=True, approx_confidence=0.6, **kwargs)
-
-
-class TestApproximateServing:
-    def test_nearby_grid_served_approximate(self):
-        with BackgroundServer(_approx_cfg()) as bg:
-            client = bg.client
-            warm = client.predict(**BASE)
-            assert warm["served"] == "fresh"
-            env = client.predict(**NEAR)
-            snap = bg.metrics_snapshot()
-
-        assert env["served"] == "approximate"
-        assert env["approximate"] is True
-        assert isinstance(env["confidence"], float)
-        assert 0.0 < env["confidence"] <= 1.0
-        result = env["result"]
-        assert result["approximate"] is True
-        assert result["confidence"] == env["confidence"]
-        assert result["grid"] == [16, 16, 28]
-        assert snap["tiers"]["approx"]["hits"] == 1
-        assert snap["endpoints"]["/predict"]["outcomes"]["approximate"] == 1
-        assert snap["approx"] == {"enabled": True, "min_confidence": 0.6}
-
-    def test_exact_flag_never_touches_approx_tier(self):
-        with BackgroundServer(_approx_cfg()) as bg:
-            client = bg.client
-            # Warm with exact too: a plain warm request would itself
-            # consult the (empty) approx tier and record a miss.
-            client.predict(exact=True, **BASE)
-            env = client.predict(exact=True, **NEAR)
-            snap = bg.metrics_snapshot()
-
-        assert env["served"] == "fresh"
-        assert "approximate" not in env
-        assert "approximate" not in env["result"]
-        approx = snap["tiers"]["approx"]
-        # Never consulted: no hit AND no miss (puts are the exact
-        # observations feeding the support set — those are fine).
-        assert approx["hits"] == 0 and approx["misses"] == 0
-        assert approx["puts"] >= 1
-
-    def test_below_confidence_falls_back_to_exact(self):
-        with BackgroundServer(_approx_cfg()) as bg:
-            client = bg.client
-            client.predict(**BASE)
-            env = client.predict(**FAR)
-            snap = bg.metrics_snapshot()
-
-        assert env["served"] == "fresh"
-        assert "approximate" not in env
-        assert "approximate" not in env["result"]
-        assert snap["tiers"]["approx"]["misses"] >= 1
-        assert snap["tiers"]["approx"]["hits"] == 0
-
-    def test_approximate_never_enters_exact_tiers(self):
-        with BackgroundServer(_approx_cfg()) as bg:
-            client = bg.client
-            client.predict(**BASE)
-            # Served approximately twice: were the first answer cached
-            # into the response tier, the repeat would come back as
-            # "cache".
-            assert client.predict(**NEAR)["served"] == "approximate"
-            assert client.predict(**NEAR)["served"] == "approximate"
-            # Forcing exact computes fresh and caches the real answer…
-            exact_env = client.predict(exact=True, **NEAR)
-            assert exact_env["served"] == "fresh"
-            # …which then shadows the approximate path (response cache
-            # is consulted first, and it only ever holds exact answers).
-            cached_env = client.predict(**NEAR)
-
-        assert cached_env["served"] == "response-cache"
-        assert "approximate" not in cached_env["result"]
-        assert (
-            cached_env["result"]["mlups"] == exact_env["result"]["mlups"]
-        )
-
-    def test_disabled_by_default(self):
-        with BackgroundServer(_cfg()) as bg:
-            client = bg.client
-            client.predict(**BASE)
-            env = client.predict(**NEAR)
-            snap = bg.metrics_snapshot()
-
-        assert env["served"] == "fresh"
-        approx = snap["tiers"]["approx"]
-        assert all(approx[k] == 0 for k in ("hits", "misses", "puts"))
-        assert snap["approx"]["enabled"] is False
-
-    def test_exact_must_be_boolean(self):
-        with BackgroundServer(_approx_cfg()) as bg:
-            client = ServiceClient(port=bg.port, retries=0)
-            with pytest.raises(ServiceError) as err:
-                client.request(
-                    "POST", "/predict", dict(BASE, exact="yes")
-                )
-        assert err.value.status == 400
 
 
 #: Priced at about 0.4 s by the classifier: the expensive class.
@@ -205,6 +99,29 @@ class TestCostRouting:
         for row in classes.values():
             assert row["admitted"] == 1
             assert row["admitted"] == row["executed"] + row["swept"]
+
+    def test_broken_pool_is_replaced_by_the_next_expensive_job(self):
+        # The pool's only worker dies inside the first expensive tune,
+        # which breaks the pool.  That job answers 500 and strikes the
+        # breaker; the next expensive job starts a fresh pool (whose
+        # initializer arms no fault) instead of meeting the broken one.
+        with BackgroundServer(ServiceConfig(port=0, workers=1)) as bg:
+            raw = ServiceClient(port=bg.port, retries=0)
+            # The plan reaches the pool through its initializer, armed
+            # when the first expensive job creates it.
+            with faults.injected("service.tune:every=1:mode=exit"):
+                with pytest.raises(ServiceError) as err:
+                    raw.request("POST", "/tune", EXPENSIVE_TUNE)
+                broken = bg.service.dispatcher._lanes.get("expensive")
+            breaker = bg.service.breakers["/tune"].snapshot()
+            env = raw.request("POST", "/tune", EXPENSIVE_TUNE)
+            lane = bg.service.dispatcher._lanes["expensive"]
+        assert err.value.status == 500
+        assert err.value.body["error"].startswith("BrokenProcessPool")
+        assert breaker["consecutive_failures"] == 1
+        assert broken is None  # dropped by the job that hit the break
+        assert isinstance(lane, ProcessPoolExecutor)
+        assert env["served"] == "fresh" and env["result"]["best_mlups"] > 0
 
     def test_pool_start_does_not_inherit_a_held_lock(self):
         # Another thread of the server process holds a module lock

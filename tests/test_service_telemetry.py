@@ -254,6 +254,20 @@ class TestFabricHistogramFanIn:
             # rounding).
             assert abs(got - true) <= QUANTILE_REL_ERROR * true + 1e-3
 
+    @pytest.mark.parametrize("query, error", [
+        ("n=abc", '"n" must be an integer'),
+        ("min_ms=fast", '"min_ms" must be a number'),
+    ], ids=["n", "min_ms"])
+    def test_router_refuses_a_malformed_filter_like_a_server(
+        self, fabric, plain, query, error
+    ):
+        expected = json.dumps({"error": error}).encode()
+        for port in (plain.port, fabric.port):
+            status, body, _ = raw_request(
+                "127.0.0.1", port, "GET", f"/debug/requests?{query}"
+            )
+            assert (status, body) == (400, expected), port
+
     def test_router_slo_and_prometheus_surfaces(self, fabric):
         doc = fabric.client.request("GET", "/slo")
         assert doc["role"] == "router"

@@ -1,26 +1,14 @@
 """Unit tests of the unified ``repro.store`` tier substrate.
 
 Covers the ledger shape (hit_rate honestly None while untouched), the
-two building-block tiers, the stack's promotion/admission semantics,
-the database/checkpoint adapters, and the near-match approximate tier's
-confidence + interpolation contract.
+two building-block tiers, the stack's promotion semantics and the
+database adapter.
 """
-
-import threading
 
 import pytest
 
-from repro.autotune.checkpoint import JsonCheckpoint
 from repro.offsite.database import TuningDatabase, TuningKey, TuningRecord
-from repro.store import (
-    CheckpointTier,
-    DatabaseTier,
-    DiskJsonTier,
-    LruTier,
-    NearMatchTier,
-    TierStack,
-    grid_confidence,
-)
+from repro.store import DatabaseTier, DiskJsonTier, LruTier, TierStack
 from repro.store.tier import TierLedger
 
 
@@ -119,17 +107,6 @@ class TestTierStack:
         assert stack.get("k") == {"v": 1}
         assert mem.ledger.hits == 2
 
-    def test_admission_predicate_gates_puts(self):
-        a = LruTier("a")
-        b = LruTier("b")
-        stack = TierStack(
-            [a, b], admit={"a": lambda key, value: value.get("clean", False)}
-        )
-        stack.put("x", {"clean": False})
-        assert a.peek("x") is None and b.peek("x") is not None
-        stack.put("y", {"clean": True})
-        assert a.peek("y") is not None
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             TierStack([LruTier("t"), LruTier("t")])
@@ -162,140 +139,6 @@ class TestAdapters:
         assert tier.get(record.key) is None
         tier.put(record)
         assert tier.get(record.key) is record
-        assert tier.lookup(record.key) is record
-        snap = tier.stats()
-        assert snap["hits"] == 2 and snap["misses"] == 1
-        assert snap["puts"] == 1 and snap["size"] == 1
-
-    def test_checkpoint_tier(self, tmp_path):
-        cp = JsonCheckpoint(tmp_path / "cp.json", "fp", interval=100)
-        tier = CheckpointTier(cp)
-        assert tier.get("job") is None
-        tier.put("job", {"cycles": 2.5})
-        assert tier.get("job") == {"cycles": 2.5}
-        tier.close()  # flushes
-        resumed = JsonCheckpoint(tmp_path / "cp.json", "fp")
-        assert resumed.get_raw("job") == {"cycles": 2.5}
         snap = tier.stats()
         assert snap["hits"] == 1 and snap["misses"] == 1
-
-
-def _predict_result(grid, mlups=100.0) -> dict:
-    return {
-        "stencil": "3d7pt",
-        "grid": list(grid),
-        "mlups": mlups,
-        "cycles_per_lup": 1e4 / mlups,
-        "notes": "exact",
-    }
-
-
-def _normalized(grid) -> dict:
-    return {
-        "stencil": "3d7pt",
-        "grid": list(grid),
-        "machine": "clx",
-        "block": None,
-        "cache_scale": 1.0,
-        "capacity_factor": 1.0,
-    }
-
-
-class TestGridConfidence:
-    def test_identity_and_bounds(self):
-        assert grid_confidence((8, 8, 8), (8, 8, 8)) == 1.0
-        assert grid_confidence((8, 8), (8, 8, 8)) == 0.0  # rank mismatch
-        # Worst axis wins: doubling one axis halves confidence.
-        assert grid_confidence((8, 8, 16), (8, 8, 8)) == pytest.approx(0.5)
-        assert grid_confidence((9, 8, 8), (8, 8, 8)) > 0.85
-
-
-class TestNearMatchTier:
-    def test_exact_grid_reserve_confidence_one(self):
-        tier = NearMatchTier()
-        tier.observe("/predict", _normalized((8, 8, 8)),
-                     _predict_result((8, 8, 8)))
-        served = tier.lookup("/predict", _normalized((8, 8, 8)), 0.9)
-        assert served is not None
-        result, confidence = served
-        assert confidence == 1.0
-        assert result["approximate"] is True
-        assert result["confidence"] == 1.0
-        assert tier.ledger.hits == 1
-
-    def test_interpolates_between_supports(self):
-        tier = NearMatchTier()
-        tier.observe("/predict", _normalized((8, 8, 8)),
-                     _predict_result((8, 8, 8), mlups=100.0))
-        tier.observe("/predict", _normalized((8, 8, 16)),
-                     _predict_result((8, 8, 16), mlups=200.0))
-        served = tier.lookup("/predict", _normalized((8, 8, 12)), 0.5)
-        assert served is not None
-        result, confidence = served
-        # Interpolated strictly between the two supports, grid rewritten.
-        assert 100.0 < result["mlups"] < 200.0
-        assert result["grid"] == [8, 8, 12]
-        assert 0.0 < confidence < 1.0
-        # Non-whitelisted fields copy from the nearest support.
-        assert result["notes"] == "exact"
-
-    def test_below_threshold_declines(self):
-        tier = NearMatchTier()
-        tier.observe("/predict", _normalized((8, 8, 8)),
-                     _predict_result((8, 8, 8)))
-        assert tier.lookup("/predict", _normalized((8, 8, 64)), 0.9) is None
-        assert tier.ledger.misses == 1
-
-    def test_different_family_never_served(self):
-        tier = NearMatchTier()
-        tier.observe("/predict", _normalized((8, 8, 8)),
-                     _predict_result((8, 8, 8)))
-        other = dict(_normalized((8, 8, 8)), machine="rome")
-        assert tier.lookup("/predict", other, 0.1) is None
-
-    def test_refuses_approximate_support(self):
-        tier = NearMatchTier()
-        poisoned = dict(_predict_result((8, 8, 8)), approximate=True)
-        tier.observe("/predict", _normalized((8, 8, 8)), poisoned)
-        assert len(tier) == 0
-
-    def test_capacity_evicts_lru_family(self):
-        tier = NearMatchTier(capacity=2)
-        for machine in ("clx", "rome", "tx2"):
-            norm = dict(_normalized((8, 8, 8)), machine=machine)
-            tier.observe("/predict", norm, _predict_result((8, 8, 8)))
-        assert len(tier) <= 2
-        assert tier.ledger.evictions >= 1
-
-    def test_stored_support_does_not_alias_response(self):
-        tier = NearMatchTier()
-        result = _predict_result((8, 8, 8))
-        tier.observe("/predict", _normalized((8, 8, 8)), result)
-        result["mlups"] = -1.0  # caller mutates its response afterwards
-        served = tier.lookup("/predict", _normalized((8, 8, 8)), 0.9)
-        assert served[0]["mlups"] == 100.0
-
-    def test_threadsafe_observe_lookup(self):
-        tier = NearMatchTier(capacity=64)
-        errors = []
-
-        def hammer(machine):
-            try:
-                norm = dict(_normalized((8, 8, 8)), machine=machine)
-                for _ in range(50):
-                    tier.observe(
-                        "/predict", norm, _predict_result((8, 8, 8))
-                    )
-                    tier.lookup("/predict", norm, 0.5)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(f"m{i}",))
-            for i in range(8)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
+        assert snap["puts"] == 1 and snap["size"] == 1

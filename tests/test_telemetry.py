@@ -519,7 +519,7 @@ def sample_snapshot():
                 "size": 7, "hit_rate": 5 / 7,
             },
             # Never consulted: hit_rate None must be OMITTED.
-            "approx": {
+            "database": {
                 "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
                 "size": 0, "hit_rate": None,
             },
@@ -555,7 +555,7 @@ class TestPrometheus:
     def test_none_hit_rate_omitted(self):
         text = render_prometheus(sample_snapshot())
         assert 'repro_tier_hit_rate{tier="response"}' in text
-        assert 'repro_tier_hit_rate{tier="approx"}' not in text
+        assert 'repro_tier_hit_rate{tier="database"}' not in text
 
     def test_histogram_buckets_cumulative(self):
         text = render_prometheus(sample_snapshot())

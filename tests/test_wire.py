@@ -28,7 +28,7 @@ from repro.service.background import BackgroundServer
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.http1 import parse_head
-from repro.service.overload import DEADLINE_HEADER
+from repro.service.overload import BROWNOUT_STAGES, DEADLINE_HEADER
 
 from tests.test_keepalive import (
     _RouterThread,
@@ -247,20 +247,14 @@ def _database_hit(bg, monkeypatch):
     return _send(bg.port, "/rank", RANK)
 
 
-def _near_match(bg, monkeypatch):
-    for nz in (32, 48):
-        _send(bg.port, "/predict", dict(_predict(nz), exact=True))
-    return _send(bg.port, "/predict", _predict(40))
-
-
 def _breaker_open(bg, monkeypatch):
     bg.service.breakers["/predict"].force_open()
     return _send(bg.port, "/predict", _predict(34))
 
 
-def _brownout(stage: int, path: str, payload: dict):
+def _brownout(stage: str, path: str, payload: dict):
     def drive(bg, monkeypatch):
-        bg.service.ladder.stage = stage
+        bg.service.ladder.stage = BROWNOUT_STAGES.index(stage)
         return _send(bg.port, path, payload)
     return drive
 
@@ -378,20 +372,13 @@ OUTCOMES = {
         200, _envelope("/rank", "database"), {"fresh": 1, "database": 1},
         ("database", "database", "-", "-", _NC),
         {"normalize": 2, "cache": 2, "execute": 1})),
-    "approximate": (
-        dict(approx_enabled=True, approx_confidence=0.6), _near_match,
-        "/predict", _pin(
-            200, _envelope("/predict", "approximate", approximate=True,
-                           confidence=0.8333),
-            {"fresh": 2, "approximate": 1},
-            ("approximate", "approximate", "-", "-", _NC),
-            {"normalize": 3, "cache": 3, "execute": 2})),
     "degraded-breaker": ({}, _breaker_open, "/predict", _pin(
         200, _envelope("/predict", "degraded", degraded=True),
         {"degraded": 1}, ("degraded", "degraded", "-", "-", _NCE),
         dict.fromkeys(_NCE, 1))),
     "degraded-brownout": (
-        _BROWNOUT, _brownout(2, "/predict", _predict(34)), "/predict", _pin(
+        _BROWNOUT, _brownout("predict-analytic", "/predict", _predict(34)),
+        "/predict", _pin(
             200, _envelope("/predict", "degraded", degraded=True,
                            brownout="predict-analytic"),
             {"degraded": 1},
@@ -405,11 +392,12 @@ OUTCOMES = {
                               "times_opened": 1}},
             {"shed": 1}, ("shed", None, "-", "-", _NC),
             dict.fromkeys(_NC, 1), retry_after="30")),
-    "503-brownout": (_BROWNOUT, _brownout(3, "/tune", TUNE), "/tune", _pin(
-        503, {"error": "brownout", "stage": "shed-heavy",
-              "endpoint": "/tune"},
-        {"shed": 1}, ("shed", None, "-", "shed-heavy", _NC),
-        dict.fromkeys(_NC, 1), retry_after="3600")),
+    "503-brownout": (
+        _BROWNOUT, _brownout("shed-heavy", "/tune", TUNE), "/tune", _pin(
+            503, {"error": "brownout", "stage": "shed-heavy",
+                  "endpoint": "/tune"},
+            {"shed": 1}, ("shed", None, "-", "shed-heavy", _NC),
+            dict.fromkeys(_NC, 1), retry_after="3600")),
     "429-deadline": ({}, _spent_deadline, "/predict", _pin(
         429, {"error": "deadline too tight", "remaining_ms": "<ms>",
               "observed_p95_ms": None, "queue_class": "cheap"},
@@ -530,10 +518,8 @@ class TestParseMemo:
 
     @pytest.mark.parametrize(
         "body",
-        [b"{not json", b"[1, 2]", b'{"stencil": "bogus"}',
-         b'{"stencil": "3d7pt", "exact": "yes"}', b"\xff\xfe"],
-        ids=["bad-json", "non-object", "unknown-stencil", "exact",
-             "not-utf8"],
+        [b"{not json", b"[1, 2]", b'{"stencil": "bogus"}', b"\xff\xfe"],
+        ids=["bad-json", "non-object", "unknown-stencil", "not-utf8"],
     )
     def test_invalid_body_same_400_bytes_and_never_memoized(
         self, single, body
@@ -561,12 +547,8 @@ class TestParseMemo:
         hinted = parse_request("/tune", json.dumps(
             dict(TUNE, trace=True, predictor="simulate", exact=True)
         ).encode())
-        assert (hinted.trace, hinted.predictor, hinted.exact) == (
-            True, "simulate", True
-        )
-        assert (plain.trace, plain.predictor, plain.exact) == (
-            False, None, False
-        )
+        assert (hinted.trace, hinted.predictor) == (True, "simulate")
+        assert (plain.trace, plain.predictor) == (False, None)
         assert hinted.key == plain.key
         assert hinted.shard_key == plain.shard_key
         assert plain.key == jobs.request_key("/tune", plain.payload())
@@ -575,13 +557,11 @@ class TestParseMemo:
 
 def _head_error(body: bytes) -> str:
     """The 400 message of the shard's parse before the memo existed:
-    JSON, object check, then ``exact``, then normalization."""
+    JSON, object check, then normalization."""
     try:
         payload = json.loads(body.decode() or "{}")
         if not isinstance(payload, dict):
             raise RequestError("payload must be a JSON object")
-        if not isinstance(payload.get("exact", False), bool):
-            raise RequestError('"exact" must be a boolean')
         jobs.normalize_predict(payload)
     except ValueError as exc:
         return str(exc)
@@ -604,10 +584,9 @@ def _head_route(router: FabricRouter, path: str, body: bytes):
 
 ROUTED_BODIES = [
     b"{not json", b'"a string"', b'{"stencil": "bogus"}',
-    b'{"stencil": "3d7pt", "grid": [16, 16, 32], "exact": "yes"}',
     json.dumps(PREDICT).encode(),
 ]
-ROUTED_IDS = ["bad-json", "non-object", "unknown-stencil", "exact", "valid"]
+ROUTED_IDS = ["bad-json", "non-object", "unknown-stencil", "valid"]
 
 
 @pytest.mark.parametrize("body", ROUTED_BODIES, ids=ROUTED_IDS)
@@ -630,7 +609,7 @@ def test_invalid_bodies_reach_their_shard_and_its_400(tmp_path):
                          probe_interval_s=60.0),
             {i: bg.port for i, bg in enumerate(shards)},
         )
-        for body in ROUTED_BODIES[:4]:
+        for body in ROUTED_BODIES[:-1]:  # every invalid body
             owner, bad = _head_route(hosted.router, "/predict", body)
             before = hosted.router.counters["bad_shard_key"]
             with socket.create_connection(
