@@ -26,6 +26,10 @@ __all__ = ["HashRing"]
 #: under ~1.5x for small member counts (see tests/test_fabric_ring.py).
 DEFAULT_VNODES = 64
 
+#: Keys whose failover order :meth:`HashRing.route_order` remembers;
+#: the memo starts over when it is full.
+ROUTE_MEMO_SIZE = 4096
+
 
 def stable_hash(text: str) -> int:
     """64-bit position of ``text`` on the hash circle (process-stable)."""
@@ -46,6 +50,8 @@ class HashRing:
         self._points: list[int] = []  # sorted hash positions
         self._owners: list[str] = []  # owner of self._points[i]
         self._members: set[str] = set()
+        #: Full failover orders by key, cleared on every ring change.
+        self._orders: dict[str, list[str]] = {}
         for member in members:
             self.add(member)
 
@@ -66,6 +72,7 @@ class HashRing:
         if member in self._members:
             return
         self._members.add(member)
+        self._orders.clear()
         for v in range(self.vnodes):
             point = stable_hash(f"{member}#{v}")
             idx = bisect.bisect_left(self._points, point)
@@ -86,6 +93,7 @@ class HashRing:
         if member not in self._members:
             return
         self._members.discard(member)
+        self._orders.clear()
         keep = [
             (p, o)
             for p, o in zip(self._points, self._owners)
@@ -110,12 +118,24 @@ class HashRing:
         The failover order: the first entry is :meth:`route`'s answer,
         later entries are the successive owners a router should try
         when earlier ones are unreachable.  Deterministic, so every
-        router instance agrees on the fallback shard too.
+        router instance agrees on the fallback shard too.  The full
+        order (no ``limit``) is memoized per key until the ring
+        changes; callers must not mutate it.
         """
+        if limit is None:
+            order = self._orders.get(key)
+            if order is None:
+                if len(self._orders) >= ROUTE_MEMO_SIZE:
+                    self._orders.clear()
+                order = self._orders[key] = self._order(
+                    key, len(self._members)
+                )
+            return order
+        return self._order(key, limit)
+
+    def _order(self, key: str, limit: int) -> list[str]:
         if not self._points:
             return []
-        if limit is None:
-            limit = len(self._members)
         start = bisect.bisect_right(self._points, stable_hash(key))
         order: list[str] = []
         seen: set[str] = set()

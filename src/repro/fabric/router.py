@@ -25,10 +25,11 @@ Failure semantics:
   relayed as-is, because the job may still be running and a reroute
   would double-execute it.  A forward times out (502) only past the
   shard template's ``request_timeout_s`` plus 5 s, so a shard's own
-  deadline (504) always answers first.  The forward deadline is one
-  loop timer per exchange, not a task: when it fires it closes the
-  connection, and the exchange reports the timeout — never "closed
-  while idle", which would resend the request on a fresh connection.
+  deadline (504) always answers first.  The forward deadline is the
+  shard connection's own timer, not a task: when it fires it drops
+  the connection, and the exchange reports the timeout — never
+  "closed while idle", which would resend the request on a fresh
+  connection.
 * A probe loop re-checks ``/healthz`` of every shard each
   ``probe_interval_s``; a dead shard is restarted through the
   supervisor (when ``restart_shards``) and re-joins the ring on its
@@ -38,13 +39,20 @@ Failure semantics:
 Connections are persistent on both sides (:mod:`repro.service.http1`).
 Clients keep theirs open across requests, and the router keeps up to
 :data:`_POOL_CAP` idle connections per shard for its forwards, probes
-and fan-ins.  A *pooled* connection that fails before any status-line
+and fan-ins.  A forward on a pooled connection runs from the two
+connections' callbacks, with no task: the client's request is
+forwarded inside the client connection's ``data_received``, and the
+shard's answer relayed inside the shard connection's.  A fresh
+connection is opened by a task.  Fan-ins and probes await the same
+forward.  A *pooled* connection that fails before any status-line
 byte (the shard closed it while it sat idle) is retried once on a
 fresh connection to the same shard; that retry marks nothing down and
 is not a reroute.  Only the fresh connection's failure counts as the
 shard refusing.  A member's pool is dropped when it is marked down or
-restarted and when the router stops.  ``accepted``, ``shard_connects``
-and ``shard_reuses`` in the router counters show the reuse.
+restarted and when the router stops; the stop also drops the shard
+connections of forwards still in flight.  ``accepted``,
+``shard_connects`` and ``shard_reuses`` in the router counters show
+the reuse.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from typing import Awaitable, Callable
 from urllib.parse import parse_qs
 
 from repro.engine import parse_request
@@ -59,13 +68,16 @@ from repro.fabric.config import FabricConfig
 from repro.fabric.proc import FabricSupervisor
 from repro.fabric.ring import HashRing
 from repro.service.http1 import (
+    Answer,
+    ClientConnection,
     Http1Server,
     NoResponse,
+    Pending,
+    Reply,
     Request,
     Response,
     encode_request,
     json_response,
-    read_response,
     reusable,
 )
 from repro.service.overload import (
@@ -138,9 +150,9 @@ class FabricRouter(Http1Server):
             "shard_reuses": 0,
         }
         #: Idle shard connections by member, most recently used last.
-        self._pools: dict[
-            str, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
-        ] = {}
+        self._pools: dict[str, list[ClientConnection]] = {}
+        #: Shard exchanges in flight.
+        self._forwards: set[_Forward] = set()
         self._probe_task: asyncio.Task | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -165,6 +177,13 @@ class FabricRouter(Http1Server):
         for member in list(self._pools):
             self._drop_pool(member)
         await self._close_connections()
+        forwards = list(self._forwards)
+        for forward in forwards:
+            forward.cancel()
+        await asyncio.gather(
+            *(f.task for f in forwards if f.task is not None),
+            return_exceptions=True,
+        )
         self._stop_requested.set()
 
     # -- membership -----------------------------------------------------
@@ -182,47 +201,45 @@ class FabricRouter(Http1Server):
             self.counters["shard_up"] += 1
 
     # -- request handling -----------------------------------------------
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> asyncio.Protocol:
         self.counters["accepted"] += 1
-        await super()._serve_connection(reader, writer)
+        return super()._accept()
 
-    async def respond(self, request: Request) -> Response:
+    def respond(self, request: Request) -> Answer:
         method = request.method
         path, _, query = request.target.partition("?")
+        if path in _API_PATHS:
+            return self._route_api(
+                method, path, request.body, request.headers
+            )
         params = parse_qs(query) if query else {}
-
         if method == "GET" and path == "/healthz":
             return json_response(*self._healthz())
         if method == "GET" and path == "/metrics":
-            histograms = _truthy(params.get("histograms"))
-            fmt = (params.get("format") or [None])[0]
-            if fmt == "prometheus":
-                document = await self._metrics(histograms=True)
-                return Response(
-                    200,
-                    render_prometheus(_prom_snapshot(document)).encode(),
-                    content_type=_PROM_CONTENT_TYPE,
-                )
-            return json_response(
-                200, await self._metrics(histograms=histograms)
-            )
+            return self._metrics_response(params)
         if method == "GET" and path == "/slo":
-            return json_response(200, await self._slo())
+            return self._json_200(self._slo())
         if method == "GET" and path == "/debug/requests":
             try:
                 filters = tail_filters(params)
             except ValueError as exc:
                 return json_response(400, {"error": str(exc)})
-            return json_response(
-                200, await self._debug_requests(query, filters["n"])
-            )
-        if path in _API_PATHS:
-            return await self._route_api(
-                method, path, request.body, request.headers
-            )
+            return self._json_200(self._debug_requests(query, filters["n"]))
         return json_response(404, {"error": f"no route {path}"})
+
+    async def _json_200(self, document: Awaitable[dict]) -> Response:
+        return json_response(200, await document)
+
+    async def _metrics_response(self, params: dict) -> Response:
+        if (params.get("format") or [None])[0] == "prometheus":
+            document = await self._metrics(histograms=True)
+            return Response(
+                200,
+                render_prometheus(_prom_snapshot(document)).encode(),
+                content_type=_PROM_CONTENT_TYPE,
+            )
+        histograms = _truthy(params.get("histograms"))
+        return json_response(200, await self._metrics(histograms=histograms))
 
     # -- routing --------------------------------------------------------
     def _route_candidates(self, method: str, path: str, body: bytes) -> list[str]:
@@ -253,162 +270,81 @@ class FabricRouter(Http1Server):
             ),
         )
 
-    async def _route_api(
+    def _route_api(
         self,
         method: str,
         path: str,
         body: bytes,
         req_headers: dict[str, str] | None = None,
-    ) -> Response:
-        # Deadline propagation: deduct the router's own elapsed time
-        # (header parse, failed forwards) before each forward, so the
-        # shard sees the budget actually left — and refuse outright
-        # once it is gone.
-        deadline_epoch = deadline_from_headers(req_headers)
-        retry_after = {"Retry-After": str(self._restart_retry_after_s())}
-        candidates = self._route_candidates(method, path, body)
-        if not candidates:
-            self.counters["no_backend"] += 1
-            return json_response(
-                503, {"error": "no live shard", "path": path}, retry_after
-            )
-        for member in candidates:
-            extra_headers = None
-            if deadline_epoch is not None:
-                remaining_s = deadline_epoch - time.time()
-                if remaining_s <= 0:
-                    return json_response(
-                        504, {"error": "deadline expired", "path": path}
-                    )
-                extra_headers = {
-                    DEADLINE_HEADER: format_deadline_ms(remaining_s)
-                }
-            try:
-                status, resp_body, resp_headers = await self._forward(
-                    member, method, path, body, extra_headers
-                )
-            except asyncio.TimeoutError:
-                # Caught before the transport clause below: since Python
-                # 3.11 a timeout is the builtin TimeoutError, an OSError.
-                # The shard HAS the request; rerouting would fork it.
-                # Retry-After: the prober's restart backoff — the shard
-                # is wedged or restarting either way.
-                return json_response(
-                    502,
-                    {"error": "shard timeout", "shard": member},
-                    retry_after,
-                )
-            except (ConnectionError, OSError, asyncio.IncompleteReadError):
-                # Transport-level refusal only: the shard never saw (or
-                # never answered) the request, so retrying elsewhere
-                # cannot double-execute it.
-                self.mark_down(member)
-                self.counters["rerouted"] += 1
-                continue
-            self.counters["routed"] += 1
-            extra = {"X-Repro-Shard": member}
-            for name in _RELAY_HEADERS:
-                if name in resp_headers:
-                    extra[name.title()] = resp_headers[name]
-            return Response(status, resp_body, extra)
-        self.counters["no_backend"] += 1
-        return json_response(
-            503, {"error": "no live shard", "path": path}, retry_after
+    ) -> Response | Pending:
+        route = _Route(
+            self, method, path, body, deadline_from_headers(req_headers),
+            self._route_candidates(method, path, body),
         )
+        return route.step() or route.pending
 
-    async def _forward(
+    def _retry_after(self) -> dict[str, str]:
+        return {"Retry-After": str(self._restart_retry_after_s())}
+
+    def _relay(self, member: str, reply: Reply) -> Response:
+        """The client's copy of a shard's answer."""
+        status, body, headers = reply
+        self.counters["routed"] += 1
+        extra = {"X-Repro-Shard": member}
+        for name in _RELAY_HEADERS:
+            if name in headers:
+                extra[name.title()] = headers[name]
+        return Response(status, body, extra)
+
+    def _forward(
         self,
         member: str,
         method: str,
         path: str,
         body: bytes,
-        extra_headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes, dict[str, str]]:
-        """One verbatim request/response exchange with a shard, on an
-        idle pooled connection when there is one."""
+        extra_headers: dict[str, str] | None,
+        done: Callable[[Reply | None, BaseException | None], None],
+    ) -> _Forward:
+        """Start one verbatim exchange with a shard (see
+        :class:`_Forward`)."""
         port = self.ports[member]
         request = encode_request(
             method, path, f"{self.config.host}:{port}", body, extra_headers
         )
-        conn = self._take_idle(member)
-        if conn is not None:
-            try:
-                return await self._exchange(member, port, conn, request)
-            except NoResponse:
-                pass  # closed while idle: once more on a fresh connection
-        conn = await asyncio.wait_for(
-            asyncio.open_connection(self.config.host, port),
-            timeout=self.config.probe_timeout_s,
-        )
-        self.counters["shard_connects"] += 1
-        return await self._exchange(member, port, conn, request)
+        forward = _Forward(self, member, port, request, done)
+        forward.start()
+        return forward
 
-    async def _exchange(
-        self,
-        member: str,
-        port: int,
-        conn: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-        request: bytes,
-    ) -> tuple[int, bytes, dict[str, str]]:
-        """Send ``request`` on ``conn`` and read the answer; the
-        connection goes back to ``member``'s pool only after a complete
-        keep-alive response.
+    async def _fetch(self, member: str, path: str) -> Reply:
+        """``GET path`` on one shard: the same forward, awaited."""
+        future = asyncio.get_running_loop().create_future()
 
-        The forward deadline is a timer that closes the connection.
-        Whatever error that close surfaces as (a :class:`NoResponse`
-        included), the exchange raises :class:`asyncio.TimeoutError`:
-        the shard has the request, so it must never be resent.
-        """
-        reader, writer = conn
-        keep = False
-        expired: list[bool] = []
-
-        def expire() -> None:
-            expired.append(True)
-            writer.close()
-
-        timer = asyncio.get_running_loop().call_later(
-            self._forward_timeout_s, expire
-        )
-        try:
-            try:
-                writer.write(request)
-                await writer.drain()
-            except ConnectionError as exc:
-                raise NoResponse(str(exc)) from exc
-            status, body, headers = await read_response(reader)
-            keep = reusable(headers)
-            return status, body, headers
-        except (OSError, asyncio.IncompleteReadError) as exc:
-            if expired:
-                raise asyncio.TimeoutError("shard timeout") from exc
-            raise
-        finally:
-            timer.cancel()
-            if keep:
-                self._put_idle(member, port, conn)
+        def done(reply: Reply | None, exc: BaseException | None) -> None:
+            if future.done():
+                return
+            if exc is None:
+                future.set_result(reply)
             else:
-                writer.close()
+                future.set_exception(exc)
 
-    def _take_idle(
-        self, member: str
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter] | None:
+        forward = self._forward(member, "GET", path, b"", None, done)
+        try:
+            return await future
+        except asyncio.CancelledError:
+            forward.cancel()
+            raise
+
+    def _take_idle(self, member: str) -> ClientConnection | None:
         pool = self._pools.get(member)
         while pool:
-            reader, writer = pool.pop()
-            if reader.at_eof() or writer.is_closing():
-                writer.close()
+            conn = pool.pop()
+            if conn.closed:
                 continue
             self.counters["shard_reuses"] += 1
-            return reader, writer
+            return conn
         return None
 
-    def _put_idle(
-        self,
-        member: str,
-        port: int,
-        conn: tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
+    def _put_idle(self, member: str, port: int, conn: ClientConnection) -> None:
         pool = self._pools.setdefault(member, [])
         if (
             self.draining
@@ -416,13 +352,13 @@ class FabricRouter(Http1Server):
             or self.ports.get(member) != port
             or len(pool) >= _POOL_CAP
         ):
-            conn[1].close()
+            conn.close()
             return
         pool.append(conn)
 
     def _drop_pool(self, member: str) -> None:
-        for _, writer in self._pools.pop(member, ()):
-            writer.close()
+        for conn in self._pools.pop(member, ()):
+            conn.close()
 
     # -- health + metrics -----------------------------------------------
     def _healthz(self) -> tuple[int, dict]:
@@ -453,13 +389,11 @@ class FabricRouter(Http1Server):
 
         async def fetch(member: str) -> None:
             try:
-                status, body, _ = await self._forward(
-                    member, "GET", path, b""
-                )
+                status, body, _ = await self._fetch(member, path)
                 if status == 200:
                     shards[member] = json.loads(body.decode())
             except (ConnectionError, OSError, ValueError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
+                    asyncio.TimeoutError):
                 pass
 
         await asyncio.gather(
@@ -534,11 +468,10 @@ class FabricRouter(Http1Server):
     async def _probe(self, member: str) -> None:
         try:
             status, _, _ = await asyncio.wait_for(
-                self._forward(member, "GET", "/healthz", b""),
+                self._fetch(member, "/healthz"),
                 timeout=self.config.probe_timeout_s,
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError):
+        except (ConnectionError, OSError, asyncio.TimeoutError):
             status = None
         if status == 200:
             self.mark_up(member)
@@ -574,6 +507,189 @@ class FabricRouter(Http1Server):
             self.ports[member] = port
             self.counters["shard_restarts"] += 1
             # The next healthy probe re-adds it to the ring.
+
+
+class _Forward:
+    """One verbatim exchange with one shard.
+
+    On an idle pooled connection the whole exchange runs from the two
+    connections' callbacks; a fresh connection is opened by a task
+    (bounded by the probe timeout, whose expiry is a timeout, not a
+    refusal).  ``done(reply, exc)`` runs once unless the forward is
+    cancelled.  The connection goes back to the member's pool only
+    after a complete keep-alive response.
+    """
+
+    __slots__ = ("router", "member", "port", "request", "done", "pooled",
+                 "conn", "task")
+
+    def __init__(
+        self,
+        router: FabricRouter,
+        member: str,
+        port: int,
+        request: bytes,
+        done: Callable[[Reply | None, BaseException | None], None],
+    ) -> None:
+        self.router = router
+        self.member = member
+        self.port = port
+        self.request = request
+        self.done = done
+        self.pooled = False
+        self.conn: ClientConnection | None = None
+        self.task: asyncio.Task | None = None
+
+    def start(self) -> None:
+        self.router._forwards.add(self)
+        conn = self.router._take_idle(self.member)
+        if conn is None:
+            self._connect()
+        else:
+            self.pooled = True
+            self._send(conn)
+
+    def cancel(self) -> None:
+        """Abandon the exchange: ``done`` never runs, and its connection
+        (or connection attempt) is dropped."""
+        self.router._forwards.discard(self)
+        if self.task is not None:
+            self.task.cancel()
+        if self.conn is not None:
+            self.conn.close()
+            self.conn = None
+
+    def _send(self, conn: ClientConnection) -> None:
+        self.conn = conn
+        conn.send(self.request, self.router._forward_timeout_s, self._answered)
+
+    def _answered(self, reply: Reply | None, exc: BaseException | None) -> None:
+        conn, self.conn = self.conn, None
+        router = self.router
+        if reply is not None and reusable(reply[2]) and not conn.closed:
+            router._put_idle(self.member, self.port, conn)
+        else:
+            conn.close()
+        if self.pooled and isinstance(exc, NoResponse) and not router._closing:
+            # Closed while idle: once more on a fresh connection.
+            self.pooled = False
+            self._connect()
+            return
+        router._forwards.discard(self)
+        self.done(reply, exc)
+
+    def _connect(self) -> None:
+        self.task = asyncio.get_running_loop().create_task(self._open())
+
+    async def _open(self) -> None:
+        router = self.router
+        try:
+            _, conn = await asyncio.wait_for(
+                asyncio.get_running_loop().create_connection(
+                    ClientConnection, router.config.host, self.port
+                ),
+                timeout=router.config.probe_timeout_s,
+            )
+        except Exception as exc:
+            self.task = None
+            router._forwards.discard(self)
+            self.done(None, exc)
+            return
+        self.task = None
+        router.counters["shard_connects"] += 1
+        self._send(conn)
+
+
+class _Route:
+    """One API request walking its failover order, on callbacks only.
+
+    Each :meth:`step` forwards the body to the next member.  Its
+    answer settles :attr:`pending`: relayed as-is, or 502 on a forward
+    timeout (the shard has the request; rerouting would fork it).  A
+    transport refusal marks the member down and steps on.  Deadline
+    propagation: before each forward the router deducts its own
+    elapsed time (parse, failed forwards), so the shard sees the budget
+    actually left, and refuses outright once it is gone.
+    """
+
+    __slots__ = ("router", "method", "path", "body", "deadline", "members",
+                 "member", "pending")
+
+    def __init__(
+        self,
+        router: FabricRouter,
+        method: str,
+        path: str,
+        body: bytes,
+        deadline: float | None,
+        members: list[str],
+    ) -> None:
+        self.router = router
+        self.method = method
+        self.path = path
+        self.body = body
+        self.deadline = deadline
+        self.members = iter(members)
+        self.member: str | None = None
+        self.pending = Pending()
+
+    def step(self) -> Response | None:
+        """Forward to the next member; the response instead when the
+        walk ends here (the budget is spent, or no member is left)."""
+        router = self.router
+        member = self.member = next(self.members, None)
+        if member is None:
+            router.counters["no_backend"] += 1
+            return json_response(
+                503, {"error": "no live shard", "path": self.path},
+                router._retry_after(),
+            )
+        extra_headers = None
+        if self.deadline is not None:
+            remaining_s = self.deadline - time.time()
+            if remaining_s <= 0:
+                return json_response(
+                    504, {"error": "deadline expired", "path": self.path}
+                )
+            extra_headers = {DEADLINE_HEADER: format_deadline_ms(remaining_s)}
+        router._forward(
+            member, self.method, self.path, self.body, extra_headers,
+            self._answered,
+        )
+        return None
+
+    def _answered(self, reply: Reply | None, exc: BaseException | None) -> None:
+        try:
+            response = self._outcome(reply, exc)
+        except Exception as error:  # closes the client's connection
+            self.pending.fail(error)
+            return
+        if response is not None:
+            self.pending.resolve(response)
+
+    def _outcome(
+        self, reply: Reply | None, exc: BaseException | None
+    ) -> Response | None:
+        router = self.router
+        if exc is None:
+            return router._relay(self.member, reply)
+        if isinstance(exc, asyncio.TimeoutError):
+            # Caught before the transport clause below: since Python
+            # 3.11 a timeout is the builtin TimeoutError, an OSError.
+            # Retry-After: the prober's restart backoff — the shard is
+            # wedged or restarting either way.
+            return json_response(
+                502, {"error": "shard timeout", "shard": self.member},
+                router._retry_after(),
+            )
+        if isinstance(exc, OSError) and not router._closing:
+            # Transport-level refusal only: the shard never saw (or
+            # never answered) the request, so retrying elsewhere
+            # cannot double-execute it.
+            router.mark_down(self.member)
+            router.counters["rerouted"] += 1
+            return self.step()
+        raise exc
 
 
 #: Tier-ledger counter fields summed across shards (the unified

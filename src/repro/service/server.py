@@ -24,10 +24,15 @@ request adds its span aggregates to the stage timers.  A tune the
 idle-shard steal loop adopts from the fabric job ledger enters at the
 execute stage: the tier walk, brownout and breaker are client-facing.
 
-``GET /healthz`` and ``GET /metrics`` are served inline.  Connections
-are persistent HTTP/1.1 (:mod:`repro.service.http1`): a client sends
-request after request on one socket until it says ``Connection:
-close``, goes idle past the read deadline, or the server drains.
+Every GET, and every POST that waits for nothing (a 400, a tier hit,
+a shed, an overload 429), is answered inside the callback that read
+its last byte, with no task.  A POST that waits for a job or the
+fallback is finished by a task, after ``_dispatch`` has coalesced or
+admitted its job in the same synchronous step as the tier walk.
+Connections are persistent HTTP/1.1 (:mod:`repro.service.http1`): a
+client sends request after request on one socket until it says
+``Connection: close``, goes idle past the read deadline, or the server
+drains.
 SIGTERM (or ``stop()``) drains gracefully: the listener and every idle
 connection close, in-flight requests finish within ``drain_timeout_s``
 (answered ``Connection: close``), then both lanes shut down.
@@ -53,7 +58,13 @@ from repro.service.batching import (
 from repro.service.breaker import CircuitBreaker
 from repro.service.config import ServiceConfig
 from repro.service.cost import classify
-from repro.service.http1 import Http1Server, Request, Response, json_response
+from repro.service.http1 import (
+    Answer,
+    Http1Server,
+    Request,
+    Response,
+    json_response,
+)
 from repro.service.overload import (
     BROWNOUT_STAGES,
     BrownoutLadder,
@@ -263,7 +274,7 @@ class ReproService(Http1Server):
         self._stop_requested.set()
 
     # -- request handling -----------------------------------------------
-    async def respond(self, request: Request) -> Response:
+    def respond(self, request: Request) -> Answer:
         method = request.method
         path, _, query = request.target.partition("?")
         params = parse_qs(query) if query else {}
@@ -326,7 +337,7 @@ class ReproService(Http1Server):
                 return json_response(
                     405, {"error": f"{path} requires POST"}
                 )
-            return await self._serve_post(path, request)
+            return self._serve_post(path, request)
         return json_response(404, {"error": f"no route {path}"})
 
     def _flight_document(self, params: dict) -> dict:
@@ -354,8 +365,12 @@ class ReproService(Http1Server):
         )
 
     # -- the request pipeline --------------------------------------------
-    async def _serve_post(self, endpoint: str, request: Request) -> Response:
-        """Run one POST through the five stages (module docstring)."""
+    def _serve_post(
+        self, endpoint: str, request: Request
+    ) -> Response | Awaitable[Response]:
+        """Run one POST through the five stages (module docstring).  A
+        POST that waits for its job or the fallback gets the coroutine
+        that finishes it; any other is answered here."""
         t0 = time.perf_counter()
         post = _Post(endpoint, deadline_from_headers(request.headers))
         if self.ladder is not None:
@@ -372,8 +387,17 @@ class ReproService(Http1Server):
             answer = self._admit(post)
         if answer is None:
             t = time.perf_counter()
-            answer = await self._execute(post)
+            answer = self._execute(post)
+            if not isinstance(answer, _Answer):
+                return self._finish_post(post, answer, t, t0)
             stages["execute"] = time.perf_counter() - t
+        return self._render(post, answer, t0)
+
+    async def _finish_post(
+        self, post: _Post, waiting: Awaitable[_Answer], t: float, t0: float
+    ) -> Response:
+        answer = await waiting
+        post.stages["execute"] = time.perf_counter() - t
         return self._render(post, answer, t0)
 
     def _normalize(self, post: _Post, body: bytes) -> _Answer | None:
@@ -470,16 +494,17 @@ class ReproService(Http1Server):
             "queue_class": job_class,
         }, (p95 or 0.0) - max(0.0, remaining_s))
 
-    async def _execute(self, post: _Post) -> _Answer:
+    def _execute(self, post: _Post) -> _Answer | Awaitable[_Answer]:
         """Run the analytic fallback, or the job in its class's lane.
 
-        Only the request that dispatched fresh work reports to the
-        breaker (coalesced waiters would multiply one failure into N
-        strikes); every other exit hands a granted probe back.  The
-        caller's deadline tightens the wait, never widens it.
+        The job is coalesced or admitted here, synchronously; only the
+        wait for its result is awaited.  Only the request that
+        dispatched fresh work reports to the breaker (coalesced waiters
+        would multiply one failure into N strikes); every other exit
+        hands a granted probe back.
         """
         if post.job_class is None:
-            return await self._fallback(post)
+            return self._fallback(post)
         breaker = self.breakers[post.endpoint]
         try:
             mode, task = self._dispatch(post)
@@ -490,6 +515,17 @@ class ReproService(Http1Server):
             )
         if mode != "fresh":
             breaker.release_probe()
+        return self._await_job(post, breaker, mode, task)
+
+    async def _await_job(
+        self,
+        post: _Post,
+        breaker: CircuitBreaker,
+        mode: str,
+        task: Awaitable[dict],
+    ) -> _Answer:
+        """Wait for a dispatched job; the caller's deadline tightens the
+        wait, never widens it."""
         timeout_s = self.config.request_timeout_s
         wait_s = timeout_s
         if post.deadline is not None:

@@ -30,16 +30,6 @@ class TierStack:
             raise ValueError(f"duplicate tier names in stack: {names}")
         self.tiers: tuple[Tier, ...] = tuple(tiers)
 
-    def __len__(self) -> int:
-        return len(self.tiers[0])
-
-    def tier(self, name: str) -> Tier:
-        """The member tier called ``name`` (KeyError if absent)."""
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        raise KeyError(f"no tier {name!r} in stack")
-
     def get(self, key):
         """First hit walking fastest→slowest; promotes on the way back.
 
@@ -64,8 +54,3 @@ class TierStack:
     def stats(self) -> dict:
         """``{tier_name: tier.stats()}`` for every member."""
         return {tier.name: tier.stats() for tier in self.tiers}
-
-    def close(self) -> None:
-        """Close every member tier."""
-        for tier in self.tiers:
-            tier.close()

@@ -106,8 +106,6 @@ class Tier:
     ``stats()``
         The ledger snapshot plus ``size`` — the one shape
         ``/metrics`` and the fabric fan-in read.
-    ``close()``
-        Teardown hook (disks are already durable, memories no-op).
     """
 
     def __init__(self, name: str) -> None:
@@ -128,9 +126,6 @@ class Tier:
         snap = self.ledger.snapshot()
         snap["size"] = len(self)
         return snap
-
-    def close(self) -> None:
-        """Flush/teardown; default no-op."""
 
 
 class LruTier(Tier):

@@ -68,6 +68,15 @@ class TestRouting:
         ring = HashRing(["0", "1", "2", "3"])
         assert len(ring.route_order("k", limit=2)) == 2
 
+    def test_route_order_memo_follows_the_ring(self):
+        ring = HashRing(["0", "1"])
+        order = ring.route_order("k")
+        assert ring.route_order("k") is order  # memoized
+        ring.remove(order[0])
+        assert ring.route_order("k") == order[1:]
+        ring.add(order[0])
+        assert ring.route_order("k") == order
+
     def test_failover_matches_removal(self):
         # The 2nd member in route_order is exactly where the key lands
         # if its owner leaves — the router's reroute is consistent with

@@ -153,7 +153,10 @@ class TestAdoptedTune:
         with BackgroundServer(config) as bg:
             start = time.time()
             deadline = time.monotonic() + 30
-            while bg.service.steal_counters["adopted"] < 1 or not seen:
+            # The completion hook fills the response tier only after
+            # the job body returns, so wait for the entry as well.
+            while (bg.service.steal_counters["adopted"] < 1 or not seen
+                   or bg.service.response_cache.peek(key) is None):
                 assert time.monotonic() < deadline, "nothing was adopted"
                 time.sleep(0.01)
             classes = bg.service.dispatcher.overload_snapshot()["classes"]
